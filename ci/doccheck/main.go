@@ -1,11 +1,13 @@
 // Command doccheck is the `make doc-check` gate: it keeps the repository's
-// documentation from rotting by verifying two invariants that are cheap to
-// break silently —
+// documentation from rotting by verifying three invariants that are cheap
+// to break silently —
 //
 //  1. every relative link in the markdown files resolves to a file or
-//     directory that actually exists (anchors after '#' are ignored), and
+//     directory that actually exists (anchors after '#' are ignored),
 //  2. every internal/ package carries a package comment in a non-test file,
-//     so `go doc repro/internal/<pkg>` always says something.
+//     so `go doc repro/internal/<pkg>` always says something, and
+//  3. every `go run ./cmd/<name>` in a markdown file names a cmd/
+//     directory that exists, so no documented command outlives its tool.
 //
 // It prints one line per violation and exits 1 if there are any.
 package main
@@ -26,6 +28,9 @@ import (
 // external (http) targets are skipped below anyway.
 var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)[^)]*\)`)
 
+// goRunCmd matches a documented tool invocation and captures the tool.
+var goRunCmd = regexp.MustCompile(`go run \./cmd/([A-Za-z0-9_-]+)`)
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
@@ -34,18 +39,18 @@ func main() {
 	bad := 0
 	bad += checkLinks(root)
 	bad += checkPackageComments(root)
+	bad += checkCommands(root)
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doc-check: %d problem(s)\n", bad)
 		os.Exit(1)
 	}
-	fmt.Println("doc-check: all markdown links resolve; all internal packages documented")
+	fmt.Println("doc-check: all markdown links resolve; all internal packages documented; all documented commands exist")
 }
 
-// checkLinks walks every .md file and verifies each relative link target
-// exists on disk, resolved against the file's own directory.
-func checkLinks(root string) int {
-	bad := 0
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// walkMarkdown calls fn with the path and contents of every .md file
+// under root (skipping .git and testdata).
+func walkMarkdown(root string, fn func(path, text string)) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -62,7 +67,17 @@ func checkLinks(root string) int {
 		if err != nil {
 			return err
 		}
-		for _, m := range mdLink.FindAllStringSubmatch(string(data), -1) {
+		fn(path, string(data))
+		return nil
+	})
+}
+
+// checkLinks walks every .md file and verifies each relative link target
+// exists on disk, resolved against the file's own directory.
+func checkLinks(root string) int {
+	bad := 0
+	err := walkMarkdown(root, func(path, text string) {
+		for _, m := range mdLink.FindAllStringSubmatch(text, -1) {
 			target := m[1]
 			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
 				continue
@@ -78,7 +93,25 @@ func checkLinks(root string) int {
 				bad++
 			}
 		}
-		return nil
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doc-check: walk: %v\n", err)
+		return bad + 1
+	}
+	return bad
+}
+
+// checkCommands verifies every `go run ./cmd/<name>` in the markdown
+// files names a directory under root's cmd/.
+func checkCommands(root string) int {
+	bad := 0
+	err := walkMarkdown(root, func(path, text string) {
+		for _, m := range goRunCmd.FindAllStringSubmatch(text, -1) {
+			if fi, err := os.Stat(filepath.Join(root, "cmd", m[1])); err != nil || !fi.IsDir() {
+				fmt.Fprintf(os.Stderr, "%s: %q names no cmd/%s directory\n", path, m[0], m[1])
+				bad++
+			}
+		}
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "doc-check: walk: %v\n", err)

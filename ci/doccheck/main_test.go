@@ -45,7 +45,22 @@ func TestCheckPackageComments(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean runs both checks against the actual repository, the
+func TestCheckCommands(t *testing.T) {
+	root := t.TempDir()
+	write(t, filepath.Join(root, "cmd", "tool", "main.go"), "package main\n")
+	write(t, filepath.Join(root, "README.md"),
+		"Run `go run ./cmd/tool -x`; any `go run ./cmd/<name>` placeholder is fine.\n")
+	if bad := checkCommands(root); bad != 0 {
+		t.Fatalf("clean tree: %d violations, want 0", bad)
+	}
+	write(t, filepath.Join(root, "doc", "OLD.md"),
+		"go run ./cmd/gone -y\ngo run ./cmd/tool\ngo run ./cmd/alsogone\n")
+	if bad := checkCommands(root); bad != 2 {
+		t.Fatalf("deleted tools: %d violations, want 2", bad)
+	}
+}
+
+// TestRepoIsClean runs every check against the actual repository, the
 // same invocation `make doc-check` performs.
 func TestRepoIsClean(t *testing.T) {
 	root := "../.."
@@ -54,5 +69,8 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	if bad := checkPackageComments(root); bad != 0 {
 		t.Errorf("repo package comments: %d missing", bad)
+	}
+	if bad := checkCommands(root); bad != 0 {
+		t.Errorf("repo markdown commands: %d name a missing tool", bad)
 	}
 }

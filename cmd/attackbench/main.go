@@ -12,11 +12,13 @@
 //	attackbench -json attacks.json     # machine-readable artifact
 //	attackbench -parallel 4            # cells fan out across a farm
 //
-// Every cell is an independent deterministic simulation, so the JSON
-// artifact is byte-identical at any -parallel setting and is
-// regression-gated in CI with cmd/benchdiff against
-// ci/attack-baseline.json (`make attack-smoke`): any cell flip — a
-// defense newly broken or newly effective — fails the build.
+// The flags become an internal/runspec Spec, executed exactly as the simd
+// daemon executes it; payload and system lists are canonical (sorted), so
+// their order never changes the artifact. Every cell is an independent
+// deterministic simulation, so the JSON artifact is byte-identical at any
+// -parallel setting and is regression-gated in CI with cmd/benchdiff
+// against ci/attack-baseline.json (`make attack-smoke`): any cell flip —
+// a defense newly broken or newly effective — fails the build.
 package main
 
 import (
@@ -24,89 +26,41 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
-	"repro/internal/bench"
-	"repro/internal/campaign"
-	"repro/internal/report"
+	"repro/internal/runspec"
 )
 
-type options struct {
-	seed     int64
-	payloads string
-	systems  string
-	parallel int
-	jsonOut  string
-	quiet    bool
-}
-
-func splitList(s string) []string {
-	if s == "" || s == "all" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func run(opts options, stdout, stderr io.Writer) error {
-	cfg := campaign.MatrixConfig{
-		Seed:     opts.seed,
-		Payloads: splitList(opts.payloads),
-		Systems:  splitList(opts.systems),
-	}
-	if opts.parallel != 1 {
-		farm := bench.NewFarm(opts.parallel)
-		defer farm.Close()
-		cfg.Farm = farm
-	}
-	tb, results, err := campaign.Matrix(cfg)
-	if err != nil {
+// run executes the campaign and, unless quiet, follows the matrix with
+// each backend's breach count.
+func run(spec runspec.Spec, parallel int, jsonOut string, quiet bool, stdout, stderr io.Writer) error {
+	a, err := runspec.RunTool(spec, parallel, jsonOut, quiet, stdout, stderr)
+	if err != nil || quiet {
 		return err
 	}
-	systems := cfg.Systems
-	if len(systems) == 0 {
-		systems = bench.ExtendedSystems
-	}
-	if !opts.quiet {
-		fmt.Fprintln(stdout, tb.String())
-		breaches := make(map[string]int)
-		for i, r := range results {
-			if r.Success {
-				breaches[systems[i%len(systems)]]++
+	m := a.Experiments[0] // the success matrix: payload rows x system columns
+	for i, sys := range m.Columns[1:] {
+		breaches := 0
+		for _, row := range m.Rows {
+			if row[i+1] == "BREACH" {
+				breaches++
 			}
 		}
-		for _, sys := range systems {
-			fmt.Fprintf(stdout, "%-10s breached by %d/%d payloads\n",
-				sys, breaches[sys], len(results)/len(systems))
-		}
-	}
-	if opts.jsonOut != "" {
-		art := report.New("attackbench", campaign.CellWindowMs, nil)
-		art.Add(tb.Experiment())
-		if err := art.WriteFile(opts.jsonOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "attackbench: wrote %s (%d cells)\n", opts.jsonOut, len(results))
+		fmt.Fprintf(stdout, "%-10s breached by %d/%d payloads\n", sys, breaches, len(m.Rows))
 	}
 	return nil
 }
 
 func main() {
-	var opts options
-	flag.Int64Var(&opts.seed, "seed", 1, "deterministic campaign seed")
-	flag.StringVar(&opts.payloads, "payloads", "all", "comma-separated payload names, or 'all'")
-	flag.StringVar(&opts.systems, "systems", "all", "comma-separated protection backends, or 'all'")
-	flag.IntVar(&opts.parallel, "parallel", 1, "farm workers for cell parallelism (<=0 = GOMAXPROCS, 1 = serial)")
-	flag.StringVar(&opts.jsonOut, "json", "", "write a machine-readable artifact (internal/report schema) to this path")
-	flag.BoolVar(&opts.quiet, "q", false, "suppress the text matrix")
+	spec := runspec.Spec{Tool: "attackbench"}
+	flag.Int64Var(&spec.Seed, "seed", 1, "deterministic campaign seed")
+	flag.StringVar(&spec.Payloads, "payloads", "all", "comma-separated payload names, or 'all'")
+	flag.StringVar(&spec.Systems, "systems", "all", "comma-separated protection backends, or 'all'")
+	parallel := flag.Int("parallel", 1, "farm workers for cell parallelism (<=0 = GOMAXPROCS, 1 = serial)")
+	jsonOut := flag.String("json", "", "write a machine-readable artifact (internal/report schema) to this path")
+	quiet := flag.Bool("q", false, "suppress the text matrix")
 	flag.Parse()
 
-	if err := run(opts, os.Stdout, os.Stderr); err != nil {
+	if err := run(spec, *parallel, *jsonOut, *quiet, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "attackbench: %v\n", err)
 		os.Exit(1)
 	}

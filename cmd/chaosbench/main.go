@@ -9,93 +9,36 @@
 //	chaosbench -json chaos.json        # machine-readable artifact
 //	chaosbench -parallel 4             # variants fan out across a farm
 //
-// Every scenario is deterministic for a given seed — the farm changes
-// when variants run, never their numbers (doc/FARM.md) — so the JSON
-// artifact is regression-gated in CI with cmd/benchdiff against
-// ci/chaos-baseline.json (`make chaos-smoke`).
+// The flags become an internal/runspec Spec, executed exactly as the simd
+// daemon executes it; the scenario list is canonical (sorted), so its
+// order never changes the artifact. Every scenario is deterministic for
+// a given seed — the farm changes when variants run, never their numbers
+// (doc/FARM.md) — so the JSON artifact is regression-gated in CI with
+// cmd/benchdiff against ci/chaos-baseline.json (`make chaos-smoke`).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
-	"strings"
-	"sync"
 
-	"repro/internal/bench"
-	"repro/internal/chaos"
-	"repro/internal/report"
+	"repro/internal/runspec"
 )
 
 func main() {
-	seed := flag.Int64("seed", 1, "deterministic scenario seed")
-	window := flag.Float64("window", 2, "simulated milliseconds per variant")
-	cores := flag.Int("cores", 2, "victim cores / NIC queues")
-	system := flag.String("system", "strict", "victim protection strategy (strict|copy|identity+|...)")
-	scenarios := flag.String("scenarios", "all", "comma-separated scenario names, or 'all'")
+	spec := runspec.Spec{Tool: "chaosbench"}
+	flag.Int64Var(&spec.Seed, "seed", 1, "deterministic scenario seed")
+	flag.Float64Var(&spec.WindowMs, "window", 2, "simulated milliseconds per variant")
+	flag.IntVar(&spec.Cores, "cores", 2, "victim cores / NIC queues")
+	flag.StringVar(&spec.System, "system", "strict", "victim protection strategy (strict|copy|identity+|...)")
+	flag.StringVar(&spec.Scenarios, "scenarios", "all", "comma-separated scenario names, or 'all'")
 	parallel := flag.Int("parallel", 1, "farm workers for variant parallelism (<=0 = GOMAXPROCS, 1 = serial)")
 	jsonOut := flag.String("json", "", "write a machine-readable artifact (internal/report schema) to this path")
 	quiet := flag.Bool("q", false, "suppress the text tables")
 	flag.Parse()
 
-	cfg := chaos.Config{Seed: *seed, WindowMs: *window, Cores: *cores, System: *system}
-	if *parallel != 1 {
-		farm := bench.NewFarm(*parallel)
-		defer farm.Close()
-		cfg.Farm = farm
-	}
-
-	var run []chaos.Scenario
-	if *scenarios == "all" {
-		run = chaos.Scenarios
-	} else {
-		for _, name := range strings.Split(*scenarios, ",") {
-			s, err := chaos.Find(strings.TrimSpace(name))
-			if err != nil {
-				log.Fatal(err)
-			}
-			run = append(run, s)
-		}
-	}
-
-	// Scenarios run on coordinator goroutines sharing the one farm; the
-	// tables land in scenario order so output and artifact are identical
-	// at every -parallel setting.
-	tables := make([]*bench.Table, len(run))
-	errs := make([]error, len(run))
-	var wg sync.WaitGroup
-	for i, s := range run {
-		i, s := i, s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t, err := s.Run(cfg)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %v", s.Name, err)
-				return
-			}
-			tables[i] = t
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			log.Fatalf("chaosbench: %v", err)
-		}
-	}
-
-	art := report.New("chaosbench", *window, cfg.Costs)
-	for _, t := range tables {
-		if !*quiet {
-			fmt.Println(t.String())
-		}
-		art.Add(t.Experiment())
-	}
-	if *jsonOut != "" {
-		if err := art.WriteFile(*jsonOut); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "chaosbench: wrote %s (%d experiments)\n", *jsonOut, len(art.Experiments))
+	if _, err := runspec.RunTool(spec, *parallel, *jsonOut, *quiet, os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -8,19 +8,27 @@
 //	go run ./cmd/reproduce > report.txt
 //	go run ./cmd/reproduce -window 1 -json BENCH_smoke.json
 //	go run ./cmd/reproduce -experiment fig3,storage -parallel 4
+//	go run ./cmd/reproduce -experiment fig10 -cyclereport -tracefile rr.json
 //
-// With -json the same results are also written as a machine-readable
-// artifact (internal/report schema) for the cmd/benchdiff regression gate.
-// "-json auto" derives the filename as BENCH_<YYYY-MM-DD>.json. When a
-// section fails, the completed sections are still written to the -json
-// path as a partial diagnostic artifact.
+// The flags become an internal/runspec Spec, executed by runspec.Execute
+// exactly as the simd daemon executes it. With -json the artifact
+// (internal/report schema) is also written for the cmd/benchdiff
+// regression gate; "-json auto" derives the filename as
+// BENCH_<YYYY-MM-DD>.json. When a section fails, the completed sections
+// are still written to the -json path as a partial diagnostic artifact.
+//
+// -cyclereport appends the cycle-attribution table of every selected
+// section's workload (fig6, fig8a, fig10, fig11, apimicro name one), and
+// -tracefile records the first selected section's workload as a Chrome
+// trace (Figure 6's 16-core MTU receive point when none names one).
 //
 // -timeout bounds the whole run: on expiry the farm cancels queued data
 // points, the completed sections land in the partial artifact, and the
 // process exits 1 (a hard watchdog force-exits at 2x if cancellation
 // wedges). -daemon <socket> skips in-process computation entirely and
 // requests the artifact from a running simd (doc/DAEMON.md), which serves
-// memoized results instantly when the tree hasn't changed.
+// memoized results instantly when the tree hasn't changed; it rejects the
+// flags that only shape an in-process run (exit 2).
 package main
 
 import (
@@ -28,17 +36,16 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/attack"
 	"repro/internal/bench"
 	"repro/internal/daemon"
 	"repro/internal/prof"
 	"repro/internal/report"
+	"repro/internal/runspec"
 )
 
 func artifactPath(jsonOut string) string {
@@ -48,227 +55,145 @@ func artifactPath(jsonOut string) string {
 	return jsonOut
 }
 
-func main() {
-	window := flag.Float64("window", 10, "simulated milliseconds per data point")
-	skipSensitivity := flag.Bool("skip-sensitivity", false, "skip the (slow) sensitivity analysis")
-	jsonOut := flag.String("json", "", "also write a machine-readable artifact to this path (\"auto\" = BENCH_<date>.json)")
-	parallel := flag.Int("parallel", 0, "farm workers for data-point parallelism (<=0 = GOMAXPROCS)")
-	experiment := flag.String("experiment", "all", "comma-separated experiment names (fig1,fig3,...,table1), or 'all'")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	cycleReport := flag.Bool("cyclereport", false, "append the cycle-attribution tables (simulated-cycle profiler, doc/OBSERVABILITY.md)")
-	traceFile := flag.String("tracefile", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the 16-core RX workload to this path")
-	timeout := flag.Duration("timeout", 0, "abort after this wall-clock duration; completed sections become a partial diagnostic artifact (0 = unbounded)")
-	daemonSock := flag.String("daemon", "", "request the artifact from a running simd daemon at this unix socket instead of computing in-process")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *daemonSock != "" {
-		runViaDaemon(*daemonSock, *window, *skipSensitivity, *experiment, *timeout, *jsonOut)
-		return
+// run is the whole command; it returns the process exit code (0 ok,
+// 1 run failure, 2 usage error).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("reproduce", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	spec := runspec.Spec{Tool: "reproduce"}
+	fs.Float64Var(&spec.WindowMs, "window", 10, "simulated milliseconds per data point")
+	fs.BoolVar(&spec.SkipSensitivity, "skip-sensitivity", false, "with -experiment all, skip the slow extended sections (fig8b, memdetail, sensitivity)")
+	fs.StringVar(&spec.Experiments, "experiment", "all", "comma-separated experiment names (table1,fig1,...,sensitivity), or 'all'")
+	fs.BoolVar(&spec.CycleReport, "cyclereport", false, "append each selected section's cycle-attribution table (simulated-cycle profiler, doc/OBSERVABILITY.md)")
+	jsonOut := fs.String("json", "", "also write a machine-readable artifact to this path (\"auto\" = BENCH_<date>.json)")
+	parallel := fs.Int("parallel", 0, "farm workers for data-point parallelism (<=0 = GOMAXPROCS, 1 = serial)")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	traceFile := fs.String("tracefile", "", "write a Chrome trace-event JSON (Perfetto-loadable) of the first selected section's workload to this path")
+	timeout := fs.Duration("timeout", 0, "abort after this wall-clock duration; completed sections become a partial diagnostic artifact (0 = unbounded)")
+	daemonSock := fs.String("daemon", "", "request the artifact from a running simd daemon at this unix socket instead of computing in-process")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
-	stop, err := prof.Start(*cpuProfile, *memProfile)
+	spec, err := spec.Normalize()
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "reproduce: %v\n", err)
+		return 2
 	}
-	defer stop()
 
+	start := time.Now()
+	var a *report.Artifact
+	if *daemonSock != "" {
+		var local []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "tracefile", "cpuprofile", "memprofile", "parallel":
+				local = append(local, "-"+f.Name)
+			}
+		})
+		if len(local) > 0 {
+			fmt.Fprintf(stderr, "reproduce: -daemon cannot honour %s (the daemon computes on its own farm)\n",
+				strings.Join(local, ", "))
+			return 2
+		}
+		a, err = viaDaemon(*daemonSock, spec, *timeout, stderr)
+	} else {
+		stop, perr := prof.Start(*cpuProfile, *memProfile)
+		if perr != nil {
+			fmt.Fprintf(stderr, "reproduce: %v\n", perr)
+			return 1
+		}
+		defer stop()
+		a, err = compute(spec, *parallel, *timeout)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "reproduce: %v\n", err)
+		if a != nil && *jsonOut != "" {
+			path := artifactPath(*jsonOut)
+			if werr := a.WriteFile(path); werr != nil {
+				fmt.Fprintf(stderr, "reproduce: writing partial artifact: %v\n", werr)
+			} else {
+				fmt.Fprintf(stderr, "reproduce: partial diagnostic artifact written to %s\n", path)
+			}
+		}
+		return 1
+	}
+
+	fmt.Fprintln(stdout, "Reproduction report: True IOMMU Protection from DMA Attacks (ASPLOS'16)")
+	fmt.Fprintf(stdout, "window: %.0f simulated ms per data point\n\n", spec.WindowMs)
+	for _, e := range a.Experiments {
+		fmt.Fprintln(stdout, e)
+	}
+	if *traceFile != "" {
+		if err := spec.TraceWorkload().WriteTrace(bench.Options{WindowMs: spec.WindowMs}, *traceFile); err != nil {
+			fmt.Fprintf(stderr, "reproduce: trace: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "Chrome trace written to %s (load at https://ui.perfetto.dev)\n\n", *traceFile)
+	}
+	fmt.Fprintf(stdout, "report complete in %s (wall clock)\n", time.Since(start).Round(time.Second))
+	if *jsonOut != "" {
+		path := artifactPath(*jsonOut)
+		if err := a.WriteFile(path); err != nil {
+			fmt.Fprintf(stderr, "reproduce: writing artifact: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stdout, "artifact written to %s\n", path)
+	}
+	return 0
+}
+
+// compute executes the spec in-process under the optional timeout. On
+// failure the artifact, when non-nil, holds the completed sections.
+func compute(spec runspec.Spec, parallel int, timeout time.Duration) (*report.Artifact, error) {
 	ctx := context.Background()
-	if *timeout > 0 {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 		// Hard watchdog: cooperative cancellation drains the farm queue but
 		// lets executing points finish; if one wedges, force the exit at 2x.
-		time.AfterFunc(2*(*timeout), func() {
+		watchdog := time.AfterFunc(2*timeout, func() {
 			fmt.Fprintf(os.Stderr, "reproduce: watchdog: run still alive %s after the %s timeout, force-exiting\n",
-				*timeout, *timeout)
+				timeout, timeout)
 			os.Exit(1)
 		})
+		defer watchdog.Stop()
 	}
-
-	farm := bench.NewFarm(*parallel)
-	defer farm.Close()
-	opt := bench.Options{WindowMs: *window, Farm: farm.WithContext(ctx)}
-	start := time.Now()
-
-	sections := bench.Suite(!*skipSensitivity)
-	runTable1 := true
-	if *experiment != "all" {
-		want := map[string]bool{}
-		for _, n := range strings.Split(*experiment, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				want[n] = true
-			}
-		}
-		runTable1 = want["table1"]
-		delete(want, "table1")
-		var filtered []bench.Section
-		for _, s := range sections {
-			if want[s.Name] {
-				filtered = append(filtered, s)
-				delete(want, s.Name)
-			}
-		}
-		if len(want) > 0 {
-			var unknown []string
-			for n := range want {
-				unknown = append(unknown, n)
-			}
-			sort.Strings(unknown)
-			var known []string
-			for _, s := range bench.Suite(true) {
-				known = append(known, s.Name)
-			}
-			log.Fatalf("reproduce: unknown experiment(s) %s (have: table1,%s)",
-				strings.Join(unknown, ","), strings.Join(known, ","))
-		}
-		sections = filtered
+	a, err := runspec.Run(ctx, spec, parallel)
+	if err != nil && ctx.Err() != nil {
+		// err is an errors.Join over every canceled point — hundreds of
+		// identical lines; the timeout itself is the whole story.
+		err = fmt.Errorf("timed out after %s, queued data points canceled", timeout)
 	}
-
-	fmt.Println("Reproduction report: True IOMMU Protection from DMA Attacks (ASPLOS'16)")
-	fmt.Printf("window: %.0f simulated ms per data point\n\n", *window)
-
-	// Table 1 (attacks + its own benchmarks) runs concurrently with the
-	// figure sections; security still leads the printed report.
-	type table1Out struct {
-		rows []attack.Table1Row
-		tbl  *bench.Table
-		err  error
-	}
-	t1ch := make(chan table1Out, 1)
-	if runTable1 {
-		go func() {
-			rows, tbl, err := attack.Table1(*window)
-			t1ch <- table1Out{rows, tbl, err}
-		}()
-	}
-
-	tables, err := bench.RunSuite(sections, opt, *parallel)
-	if err != nil {
-		// The completed sections are still worth a record when a long run
-		// dies near the end: write them as a partial diagnostic artifact.
-		if ctx.Err() != nil {
-			// err is an errors.Join over every canceled point — hundreds of
-			// identical lines; the timeout itself is the whole story.
-			log.Printf("reproduce: timed out after %s, queued data points canceled", *timeout)
-		} else {
-			log.Printf("reproduce: %v", err)
-		}
-		if *jsonOut != "" {
-			path := artifactPath(*jsonOut)
-			a := bench.Artifact("reproduce", *window, nil, tables)
-			a.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-			if werr := a.WriteFile(path); werr != nil {
-				log.Printf("reproduce: writing partial artifact: %v", werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "reproduce: partial diagnostic artifact written to %s\n", path)
-			}
-		}
-		os.Exit(1)
-	}
-	var t1 table1Out
-	if runTable1 {
-		t1 = <-t1ch
-		if t1.err != nil {
-			log.Fatal(t1.err)
-		}
-		fmt.Println(t1.tbl)
-	}
-	for _, t := range tables {
-		fmt.Println(t)
-	}
-	if *cycleReport {
-		cts, err := bench.CycleReport(bench.Options{WindowMs: *window})
-		if err != nil {
-			log.Fatalf("cycle report: %v", err)
-		}
-		for _, t := range cts {
-			fmt.Println(t)
-			tables = append(tables, t)
-		}
-	}
-	if *traceFile != "" {
-		cfg := bench.DefaultConfig(bench.SysLinuxStrict, bench.RX, 16, 1500)
-		cfg.WindowMs = *window
-		if _, err := bench.WriteTrace(cfg, *traceFile); err != nil {
-			log.Fatalf("trace: %v", err)
-		}
-		fmt.Printf("Chrome trace written to %s (load at https://ui.perfetto.dev)\n\n", *traceFile)
-	}
-	// Farm scheduling stats go to stderr for humans, and into the artifact
-	// as diff-exempt farm.* metrics (report.Diff ignores them, like
-	// wall_*/host_*) so a stored artifact records how it was produced.
-	fs := farm.Stats()
-	var util float64
-	for _, u := range fs.UtilPct {
-		util += u
-	}
-	if len(fs.UtilPct) > 0 {
-		util /= float64(len(fs.UtilPct))
-	}
-	fmt.Fprintf(os.Stderr, "farm: %d workers, %d points, %d steals, queue hwm %d, mean util %.0f%%, wall %s\n",
-		fs.Workers, fs.Executed, fs.Steals, fs.QueueHWM, util,
-		time.Since(start).Round(time.Millisecond))
-	fmt.Printf("report complete in %s (wall clock)\n", time.Since(start).Round(time.Second))
-
-	if *jsonOut != "" {
-		path := artifactPath(*jsonOut)
-		all := tables
-		if runTable1 {
-			all = append([]*bench.Table{t1.tbl}, tables...)
-		}
-		all = append(all, bench.FarmTable(fs))
-		a := bench.Artifact("reproduce", *window, nil, all)
-		a.CreatedAt = time.Now().UTC().Format(time.RFC3339)
-		if runTable1 {
-			a.Attacks = attack.Verdicts(t1.rows)
-		}
-		if err := a.WriteFile(path); err != nil {
-			log.Fatalf("writing artifact: %v", err)
-		}
-		fmt.Printf("artifact written to %s\n", path)
-	}
+	return a, err
 }
 
-// runViaDaemon delegates the whole run to a simd daemon. The daemon
+// viaDaemon delegates the whole run to a simd daemon. The daemon
 // computes with its warm farm (or serves the memoized artifact when the
-// same binary already ran this spec) and returns the identical
-// internal/report artifact the in-process path would have written.
-func runViaDaemon(socket string, window float64, skipSensitivity bool, experiment string, timeout time.Duration, jsonOut string) {
-	spec := daemon.RunSpec{
-		Tool:            "reproduce",
-		WindowMs:        window,
-		SkipSensitivity: skipSensitivity,
-		Experiments:     experiment,
-	}
+// same binary already ran this spec) through the same runspec.Execute.
+func viaDaemon(socket string, spec runspec.Spec, timeout time.Duration, stderr io.Writer) (*report.Artifact, error) {
 	c := &daemon.Client{Socket: socket}
 	start := time.Now()
 	// noDegrade: the caller asked for the real report, never a preview.
 	resp, err := c.Run(spec, timeout, false, true)
 	if err != nil {
-		log.Fatalf("reproduce: daemon: %v", err)
+		return nil, fmt.Errorf("daemon: %w", err)
 	}
 	if !resp.OK {
-		log.Fatalf("reproduce: daemon: %s: %s", resp.ErrKind, resp.Err)
+		return nil, fmt.Errorf("daemon: %s: %s", resp.ErrKind, resp.Err)
 	}
 	a, err := report.Decode(bytes.NewReader(resp.Artifact))
 	if err != nil {
-		log.Fatalf("reproduce: daemon artifact: %v", err)
+		return nil, fmt.Errorf("daemon artifact: %w", err)
 	}
 	state := "computed"
 	if resp.Cached {
 		state = "memoized"
 	}
-	fmt.Fprintf(os.Stderr, "reproduce: %s by daemon in %s: %d experiments, %d bytes, key %.12s\n",
+	fmt.Fprintf(stderr, "reproduce: %s by daemon in %s: %d experiments, %d bytes, key %.12s\n",
 		state, time.Since(start).Round(time.Millisecond), len(a.Experiments), len(resp.Artifact), resp.Key)
-	if jsonOut != "" {
-		path := artifactPath(jsonOut)
-		if err := os.WriteFile(path, resp.Artifact, 0o644); err != nil {
-			log.Fatalf("reproduce: writing artifact: %v", err)
-		}
-		fmt.Printf("artifact written to %s\n", path)
-		return
-	}
-	os.Stdout.Write(resp.Artifact)
+	return a, nil
 }

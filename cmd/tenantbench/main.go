@@ -13,9 +13,10 @@
 //	tenantbench -tenants 16,256,1024 -frames 1500,256,128
 //	tenantbench -parallel 4 -json tenants.json
 //
-// Every cell is an independent deterministic simulation, so the JSON
-// artifact is byte-identical at any -parallel setting and is
-// regression-gated in CI with cmd/benchdiff against
+// The flags become an internal/runspec Spec, executed exactly as the simd
+// daemon executes it. Every cell is an independent deterministic
+// simulation, so the JSON artifact is byte-identical at any -parallel
+// setting and is regression-gated in CI with cmd/benchdiff against
 // ci/tenant-baseline.json (`make tenant-smoke`): any isolation-cell flip
 // or goodput drift fails the build.
 package main
@@ -23,104 +24,24 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strconv"
-	"strings"
 
-	"repro/internal/bench"
-	"repro/internal/tenant"
+	"repro/internal/runspec"
 )
 
-type options struct {
-	seed     int64
-	schemes  string
-	attacks  string
-	tenants  string
-	frames   string
-	parallel int
-	jsonOut  string
-	quiet    bool
-}
-
-func splitList(s string) []string {
-	if s == "" || s == "all" {
-		return nil
-	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func splitInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range splitList(s) {
-		n, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("bad count %q: %w", part, err)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-func run(opts options, stdout, stderr io.Writer) error {
-	counts, err := splitInts(opts.tenants)
-	if err != nil {
-		return err
-	}
-	frames, err := splitInts(opts.frames)
-	if err != nil {
-		return err
-	}
-	cfg := tenant.BenchConfig{
-		Seed:         opts.seed,
-		Schemes:      splitList(opts.schemes),
-		Attacks:      splitList(opts.attacks),
-		TenantCounts: counts,
-		FrameSizes:   frames,
-	}
-	if opts.parallel != 1 {
-		farm := bench.NewFarm(opts.parallel)
-		defer farm.Close()
-		cfg.Farm = farm
-	}
-	art, tables, err := tenant.Bench(cfg)
-	if err != nil {
-		return err
-	}
-	if !opts.quiet {
-		for _, tb := range tables {
-			fmt.Fprintln(stdout, tb.String())
-		}
-	}
-	if opts.jsonOut != "" {
-		if err := art.WriteFile(opts.jsonOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "tenantbench: wrote %s (%d experiments)\n",
-			opts.jsonOut, len(art.Experiments))
-	}
-	return nil
-}
-
 func main() {
-	var opts options
-	flag.Int64Var(&opts.seed, "seed", 1, "deterministic sweep seed")
-	flag.StringVar(&opts.schemes, "schemes", "all", "comma-separated protection schemes, or 'all'")
-	flag.StringVar(&opts.attacks, "attacks", "all", "comma-separated hostile programs for the matrix, or 'all'")
-	flag.StringVar(&opts.tenants, "tenants", "", "comma-separated tenant counts for the sweep (default 16,256,1024)")
-	flag.StringVar(&opts.frames, "frames", "", "comma-separated frame sizes for the sweep (default 1500,256,128)")
-	flag.IntVar(&opts.parallel, "parallel", 1, "farm workers for cell parallelism (<=0 = GOMAXPROCS, 1 = serial)")
-	flag.StringVar(&opts.jsonOut, "json", "", "write a machine-readable artifact (internal/report schema) to this path")
-	flag.BoolVar(&opts.quiet, "q", false, "suppress the text tables")
+	spec := runspec.Spec{Tool: "tenantbench"}
+	flag.Int64Var(&spec.Seed, "seed", 1, "deterministic sweep seed")
+	flag.StringVar(&spec.Schemes, "schemes", "all", "comma-separated protection schemes, or 'all'")
+	flag.StringVar(&spec.Attacks, "attacks", "all", "comma-separated hostile programs for the matrix, or 'all'")
+	flag.StringVar(&spec.Tenants, "tenants", "", "comma-separated tenant counts for the sweep (default 16,256,1024)")
+	flag.StringVar(&spec.Frames, "frames", "", "comma-separated frame sizes for the sweep (default 1500,256,128)")
+	parallel := flag.Int("parallel", 1, "farm workers for cell parallelism (<=0 = GOMAXPROCS, 1 = serial)")
+	jsonOut := flag.String("json", "", "write a machine-readable artifact (internal/report schema) to this path")
+	quiet := flag.Bool("q", false, "suppress the text tables")
 	flag.Parse()
 
-	if err := run(opts, os.Stdout, os.Stderr); err != nil {
+	if _, err := runspec.RunTool(spec, *parallel, *jsonOut, *quiet, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "tenantbench: %v\n", err)
 		os.Exit(1)
 	}

@@ -22,9 +22,9 @@ func smokeArtifact(t *testing.T, parallel int) []byte {
 	defer farm.Close()
 	opt := Options{WindowMs: 0.25, Sizes: []int{1024, 16384}, Systems: []string{SysNoIOMMU, SysCopy}, Farm: farm}
 	sections := []Section{
-		{"fig3", Fig3},
-		{"fig4", Fig4},
-		{"apimicro", func(o Options) (*Table, error) {
+		{Name: "fig3", Run: Fig3},
+		{Name: "fig4", Run: Fig4},
+		{Name: "apimicro", Run: func(o Options) (*Table, error) {
 			return APIMicro(Options{Systems: o.Systems, Farm: o.Farm})
 		}},
 	}

@@ -46,7 +46,7 @@ func fig1extArtifact(t *testing.T, parallel int) []byte {
 	farm := NewFarm(parallel)
 	defer farm.Close()
 	opt := Options{WindowMs: 0.25, Farm: farm}
-	tables, err := RunSuite([]Section{{"fig1ext", Fig1Extended}}, opt, parallel)
+	tables, err := RunSuite([]Section{{Name: "fig1ext", Run: Fig1Extended}}, opt, parallel)
 	if err != nil {
 		t.Fatal(err)
 	}

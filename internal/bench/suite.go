@@ -16,46 +16,64 @@ import (
 type Section struct {
 	Name string
 	Run  func(Options) (*Table, error)
+	// Workload, when set, is the run the section is the flagship of:
+	// reproduce -cyclereport appends its cycle table and -tracefile
+	// records its timeline.
+	Workload *Workload
 }
 
 // Suite returns the full evaluation in report order — every figure of the
 // paper plus this reproduction's extension studies. Sections are
-// independent simulations, so RunSuite executes them concurrently.
-func Suite(includeSensitivity bool) []Section {
+// independent simulations, so RunSuite executes them concurrently. The
+// extended suite adds the slow or supplementary sections: Figure 8's TX
+// panel, the shadow pool's per-class composition and the sensitivity
+// analysis.
+func Suite(extended bool) []Section {
 	s := []Section{
-		{"fig1", Fig1},
-		{"fig1ext", Fig1Extended},
-		{"fig3", Fig3},
-		{"fig4", Fig4},
-		{"fig5a", func(o Options) (*Table, error) { t, _, err := Breakdown(RX, 1, o); return t, err }},
-		{"fig5b", func(o Options) (*Table, error) { t, _, err := Breakdown(TX, 1, o); return t, err }},
-		{"fig6", Fig6},
-		{"fig7", Fig7},
-		{"fig8a", func(o Options) (*Table, error) { t, _, err := Breakdown(RX, 16, o); return t, err }},
-		{"fig9", func(o Options) (*Table, error) { t, _, err := Fig9(o); return t, err }},
-		{"fig10", Fig10},
-		{"fig11", Fig11},
-		{"memory", MemoryConsumption},
-		{"apimicro", func(o Options) (*Table, error) {
+		{Name: "fig1", Run: Fig1},
+		{Name: "fig1ext", Run: Fig1Extended},
+		{Name: "fig3", Run: Fig3},
+		{Name: "fig4", Run: Fig4},
+		{Name: "fig5a", Run: breakdown(RX, 1)},
+		{Name: "fig5b", Run: breakdown(TX, 1)},
+		{Name: "fig6", Run: Fig6, Workload: mtuWorkload},
+		{Name: "fig7", Run: Fig7},
+		{Name: "fig8a", Run: breakdown(RX, 16), Workload: rx64kWorkload},
+		{Name: "fig9", Run: func(o Options) (*Table, error) { t, _, err := Fig9(o); return t, err }},
+		{Name: "fig10", Run: Fig10, Workload: rrWorkload},
+		{Name: "fig11", Run: Fig11, Workload: kvWorkload},
+		{Name: "memory", Run: MemoryConsumption},
+		{Name: "apimicro", Run: func(o Options) (*Table, error) {
 			// The microbenchmark covers the related-work systems too and
 			// is window-independent (fixed pair count).
 			return APIMicro(Options{Systems: ExtendedSystems, Costs: o.Costs, Farm: o.Farm})
-		}},
-		{"storage", StorageStudy},
-		{"mixed", MixedStudy},
+		}, Workload: microWorkload},
+		{Name: "storage", Run: StorageStudy},
+		{Name: "mixed", Run: MixedStudy},
 	}
-	if includeSensitivity {
-		s = append(s, Section{"sensitivity", func(o Options) (*Table, error) {
-			// Half the window: 11 cost models x 8 machines is the slow part.
-			t, violations, err := Sensitivity(Options{WindowMs: o.window() / 2, Costs: o.Costs, Farm: o.Farm})
-			if err != nil {
-				return nil, err
-			}
-			t.Note = fmt.Sprintf("claim flips: %d", violations)
-			return t, nil
-		}})
+	if extended {
+		s = append(s,
+			Section{Name: "fig8b", Run: breakdown(TX, 16)},
+			Section{Name: "memdetail", Run: MemoryDetail},
+			Section{Name: "sensitivity", Run: func(o Options) (*Table, error) {
+				// Half the window: 11 cost models x 8 machines is the slow part.
+				t, violations, err := Sensitivity(Options{WindowMs: o.window() / 2, Costs: o.Costs, Farm: o.Farm})
+				if err != nil {
+					return nil, err
+				}
+				t.Note = fmt.Sprintf("claim flips: %d", violations)
+				return t, nil
+			}})
 	}
 	return s
+}
+
+// breakdown is the section runner of one Figure 5/8 panel.
+func breakdown(dir Direction, cores int) func(Options) (*Table, error) {
+	return func(o Options) (*Table, error) {
+		t, _, err := Breakdown(dir, cores, o)
+		return t, err
+	}
 }
 
 // RunSuite executes every section's individual data points across a
@@ -146,8 +164,7 @@ func Artifact(tool string, windowMs float64, costs *cycles.Costs, tables []*Tabl
 	return a
 }
 
-// WriteArtifact stamps and writes tables as an artifact file — the shared
-// tail of every cmd/* tool's -json flag.
+// WriteArtifact stamps and writes tables as an artifact file.
 func WriteArtifact(path, tool string, windowMs float64, costs *cycles.Costs, tables ...*Table) error {
 	a := Artifact(tool, windowMs, costs, tables)
 	a.CreatedAt = time.Now().UTC().Format(time.RFC3339)

@@ -3,6 +3,8 @@ package bench
 import (
 	"errors"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/report"
@@ -42,9 +44,9 @@ func nan() float64 {
 func TestRunSuiteParallel(t *testing.T) {
 	opt := Options{WindowMs: 0.25, Sizes: []int{1024}, Systems: []string{SysNoIOMMU, SysCopy}}
 	sections := []Section{
-		{"fig3", Fig3},
-		{"fig4", Fig4},
-		{"fig9", func(o Options) (*Table, error) { tb, _, err := Fig9(o); return tb, err }},
+		{Name: "fig3", Run: Fig3},
+		{Name: "fig4", Run: Fig4},
+		{Name: "fig9", Run: func(o Options) (*Table, error) { tb, _, err := Fig9(o); return tb, err }},
 	}
 	tables, err := RunSuite(sections, opt, 3)
 	if err != nil {
@@ -74,9 +76,9 @@ func TestRunSuitePropagatesErrors(t *testing.T) {
 	boom := errors.New("boom")
 	bang := errors.New("bang")
 	sections := []Section{
-		{"ok", func(o Options) (*Table, error) { return &Table{Title: "t"}, nil }},
-		{"bad", func(o Options) (*Table, error) { return nil, boom }},
-		{"worse", func(o Options) (*Table, error) { return nil, bang }},
+		{Name: "ok", Run: func(o Options) (*Table, error) { return &Table{Title: "t"}, nil }},
+		{Name: "bad", Run: func(o Options) (*Table, error) { return nil, boom }},
+		{Name: "worse", Run: func(o Options) (*Table, error) { return nil, bang }},
 	}
 	tables, err := RunSuite(sections, Options{WindowMs: 0.1}, 2)
 	// Every section failure survives the errors.Join aggregation...
@@ -145,24 +147,34 @@ func TestWriteArtifact(t *testing.T) {
 }
 
 func TestSuiteCoversAllSections(t *testing.T) {
-	with := Suite(true)
-	without := Suite(false)
-	if len(with) != len(without)+1 {
-		t.Errorf("sensitivity toggle broken: %d vs %d", len(with), len(without))
-	}
-	seen := map[string]bool{}
-	for _, s := range with {
-		if seen[s.Name] {
-			t.Errorf("duplicate section %q", s.Name)
+	names := func(secs []Section) string {
+		var out []string
+		for _, s := range secs {
+			out = append(out, s.Name)
 		}
-		seen[s.Name] = true
+		return strings.Join(out, ",")
+	}
+	// The base suite is what `make smoke` gates and the paper-suite
+	// benchmark runs: it must not change shape.
+	const base = "fig1,fig1ext,fig3,fig4,fig5a,fig5b,fig6,fig7,fig8a,fig9,fig10,fig11,memory,apimicro,storage,mixed"
+	if got := names(Suite(false)); got != base {
+		t.Errorf("Suite(false) = %s, want %s", got, base)
+	}
+	if got, want := names(Suite(true)), base+",fig8b,memdetail,sensitivity"; got != want {
+		t.Errorf("Suite(true) = %s, want %s", got, want)
+	}
+	workloads := map[string]string{}
+	for _, s := range Suite(true) {
 		if s.Run == nil {
 			t.Errorf("section %q has no runner", s.Name)
 		}
-	}
-	for _, want := range []string{"fig1", "fig3", "fig9", "memory", "storage", "sensitivity"} {
-		if !seen[want] {
-			t.Errorf("suite is missing %q", want)
+		if s.Workload != nil {
+			workloads[s.Name] = s.Workload.Name
 		}
+	}
+	want := map[string]string{"fig6": "cycles-mtu", "fig8a": "cycles-64k",
+		"fig10": "cycles-rr", "fig11": "cycles-kv", "apimicro": "cycles-micro"}
+	if !reflect.DeepEqual(workloads, want) {
+		t.Errorf("section workloads = %v, want %v", workloads, want)
 	}
 }

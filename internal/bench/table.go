@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"math"
-	"strings"
 
 	"repro/internal/report"
 )
@@ -77,90 +74,7 @@ func (t *Table) Experiment() report.Experiment {
 }
 
 // String renders the table as aligned text.
-func (t *Table) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", t.Title)
-	if t.Note != "" {
-		fmt.Fprintf(&b, "%s\n", t.Note)
-	}
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteString("\n")
-	}
-	line(t.Columns)
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, row := range t.Rows {
-		line(row)
-	}
-	return b.String()
-}
-
-// CSV renders the table as RFC-4180 CSV (header row first).
-func (t *Table) CSV() string {
-	var b strings.Builder
-	w := csv.NewWriter(&b)
-	_ = w.Write(t.Columns)
-	for _, row := range t.Rows {
-		_ = w.Write(row)
-	}
-	w.Flush()
-	return b.String()
-}
-
-// JSON renders the table as a JSON object: title, columns and rows as
-// before, plus the artifact-schema fields (name, winner, series) so every
-// cmd/* tool's -format json output speaks the same schema as the
-// BENCH_*.json artifacts.
-func (t *Table) JSON() (string, error) {
-	out, err := json.MarshalIndent(struct {
-		Name    string          `json:"name,omitempty"`
-		Title   string          `json:"title"`
-		Note    string          `json:"note,omitempty"`
-		Columns []string        `json:"columns"`
-		Rows    [][]string      `json:"rows"`
-		Winner  *report.Winner  `json:"winner,omitempty"`
-		Series  []report.Series `json:"series,omitempty"`
-		WallMs  float64         `json:"wall_ms,omitempty"`
-	}{t.Name, t.Title, t.Note, t.Columns, t.Rows, t.Winner, t.Series, t.WallMs}, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(out), nil
-}
-
-// Render formats the table in the requested format: "text" (default),
-// "csv" or "json".
-func (t *Table) Render(format string) (string, error) {
-	switch format {
-	case "", "text":
-		return t.String(), nil
-	case "csv":
-		return t.CSV(), nil
-	case "json":
-		return t.JSON()
-	}
-	return "", fmt.Errorf("bench: unknown format %q", format)
-}
+func (t *Table) String() string { return t.Experiment().String() }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

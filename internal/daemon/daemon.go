@@ -17,6 +17,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/runspec"
 	"repro/internal/store"
 )
 
@@ -419,7 +420,7 @@ func (d *Daemon) execProtected(ctx context.Context, spec RunSpec) (art *report.A
 			panic("daemon: injected exec panic")
 		}
 	}
-	return d.exec(ctx, spec)
+	return runspec.Execute(ctx, d.farm, spec)
 }
 
 // storeGet reads a key with a short bounded retry over transient I/O

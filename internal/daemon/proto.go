@@ -11,17 +11,13 @@
 // requests before exit. The daemon chaos suite (chaos_test.go) injects
 // panics, store corruption, disconnects and overload floods and holds
 // the daemon to: never crash, never serve corrupt bytes, stay 0-drift
-// with the one-shot tools.
+// with the one-shot tools, which run specs through the same
+// runspec.Execute.
 package daemon
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"repro/internal/bench"
-	"repro/internal/chaos"
 	"repro/internal/obs"
+	"repro/internal/runspec"
 	"repro/internal/store"
 )
 
@@ -35,41 +31,9 @@ const (
 	ErrKindInternal   = "internal"    // retries exhausted or unexpected failure
 )
 
-// Tools the daemon can run. Each replicates the artifact construction of
-// the same-named cmd/* one-shot tool exactly.
-var Tools = []string{"reproduce", "chaosbench", "attackbench", "tenantbench"}
-
-// RunSpec names one deterministic benchmark run. The normalized spec
-// (Normalize) plus the serving binary's fingerprint is the store key:
-// everything that changes the artifact is in here, and nothing else.
-type RunSpec struct {
-	Tool string `json:"tool"`
-	// Seed seeds chaosbench/attackbench/tenantbench (reproduce has no
-	// seed; its experiments are fully determined by window/sections).
-	Seed int64 `json:"seed,omitempty"`
-	// WindowMs is the simulated window per data point (reproduce,
-	// chaosbench; the other tools have fixed windows).
-	WindowMs float64 `json:"window_ms,omitempty"`
-
-	// reproduce
-	SkipSensitivity bool   `json:"skip_sensitivity,omitempty"`
-	Experiments     string `json:"experiments,omitempty"` // comma list or "all"
-
-	// chaosbench
-	Cores     int    `json:"cores,omitempty"`
-	System    string `json:"system,omitempty"`
-	Scenarios string `json:"scenarios,omitempty"` // comma list or "all"
-
-	// attackbench
-	Payloads string `json:"payloads,omitempty"` // comma list or "all"
-	Systems  string `json:"systems,omitempty"`  // comma list or "all"
-
-	// tenantbench
-	Schemes string `json:"schemes,omitempty"` // comma list or "all"
-	Attacks string `json:"attacks,omitempty"` // comma list or "all"
-	Tenants string `json:"tenants,omitempty"` // comma list of counts, "" = library default
-	Frames  string `json:"frames,omitempty"`  // comma list of sizes, "" = library default
-}
+// RunSpec is the run a request names. It is an alias of runspec.Spec,
+// kept so clients can build requests from this package alone.
+type RunSpec = runspec.Spec
 
 // Request is one client message. The protocol is one request per
 // connection: the client dials, sends a Request, reads one Response. A
@@ -112,153 +76,4 @@ type Health struct {
 	Draining bool         `json:"draining"`
 	Metrics  obs.Snapshot `json:"metrics"`
 	Store    store.Stats  `json:"store"`
-}
-
-// keyDesc is the canonical store-key descriptor: the normalized spec and
-// the code fingerprint, nothing volatile (deadline, cache flags).
-type keyDesc struct {
-	Fingerprint string  `json:"fingerprint"`
-	Spec        RunSpec `json:"spec"`
-}
-
-// Key derives the content address for a normalized spec under a code
-// fingerprint.
-func (s RunSpec) Key(fingerprint string) (string, error) {
-	return store.Key(keyDesc{Fingerprint: fingerprint, Spec: s})
-}
-
-// Normalize validates a spec and fills tool defaults, returning the
-// canonical form under which results are memoized: two requests that
-// mean the same run always normalize to the same bytes. Errors are
-// ErrKindBadRequest material.
-func (s RunSpec) Normalize() (RunSpec, error) {
-	n := RunSpec{Tool: s.Tool}
-	switch s.Tool {
-	case "reproduce":
-		n.WindowMs = defFloat(s.WindowMs, 10)
-		n.SkipSensitivity = s.SkipSensitivity
-		var err error
-		if n.Experiments, err = canonExperiments(s.Experiments); err != nil {
-			return n, err
-		}
-	case "chaosbench":
-		n.Seed = defInt64(s.Seed, 1)
-		n.WindowMs = defFloat(s.WindowMs, 2)
-		n.Cores = defInt(s.Cores, 2)
-		n.System = defStr(s.System, "strict")
-		var err error
-		if n.Scenarios, err = canonScenarios(s.Scenarios); err != nil {
-			return n, err
-		}
-	case "attackbench":
-		n.Seed = defInt64(s.Seed, 1)
-		n.Payloads = canonList(s.Payloads)
-		n.Systems = canonList(s.Systems)
-	case "tenantbench":
-		n.Seed = defInt64(s.Seed, 1)
-		n.Schemes = canonList(s.Schemes)
-		n.Attacks = canonList(s.Attacks)
-		n.Tenants = canonList(s.Tenants)
-		n.Frames = canonList(s.Frames)
-	default:
-		return n, fmt.Errorf("unknown tool %q (have %s)", s.Tool, strings.Join(Tools, ","))
-	}
-	return n, nil
-}
-
-// SupportsPreview reports whether the tool has a window knob the
-// degradation ladder can shrink.
-func (s RunSpec) SupportsPreview() bool {
-	return s.Tool == "reproduce" || s.Tool == "chaosbench"
-}
-
-func defFloat(v, d float64) float64 {
-	if v <= 0 {
-		return d
-	}
-	return v
-}
-
-func defInt64(v, d int64) int64 {
-	if v == 0 {
-		return d
-	}
-	return v
-}
-
-func defInt(v, d int) int {
-	if v <= 0 {
-		return d
-	}
-	return v
-}
-
-func defStr(v, d string) string {
-	if v == "" {
-		return d
-	}
-	return v
-}
-
-// canonList canonicalizes a comma list: trimmed, deduped, sorted. "all"
-// and "" both mean the library default and normalize to "all".
-func canonList(s string) string {
-	if s == "" || s == "all" {
-		return "all"
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" && !seen[part] {
-			seen[part] = true
-			out = append(out, part)
-		}
-	}
-	if len(out) == 0 {
-		return "all"
-	}
-	sort.Strings(out)
-	return strings.Join(out, ",")
-}
-
-// canonExperiments canonicalizes and validates a reproduce experiment
-// list against the suite (plus "table1").
-func canonExperiments(s string) (string, error) {
-	c := canonList(s)
-	if c == "all" {
-		return c, nil
-	}
-	known := map[string]bool{"table1": true}
-	for _, sec := range bench.Suite(true) {
-		known[sec.Name] = true
-	}
-	for _, name := range strings.Split(c, ",") {
-		if !known[name] {
-			return "", fmt.Errorf("unknown experiment %q", name)
-		}
-	}
-	return c, nil
-}
-
-// canonScenarios canonicalizes and validates a chaosbench scenario list.
-func canonScenarios(s string) (string, error) {
-	c := canonList(s)
-	if c == "all" {
-		return c, nil
-	}
-	for _, name := range strings.Split(c, ",") {
-		if _, err := chaos.Find(name); err != nil {
-			return "", err
-		}
-	}
-	return c, nil
-}
-
-// splitList expands a canonical comma list for the library configs, where
-// nil means "all".
-func splitList(s string) []string {
-	if s == "" || s == "all" {
-		return nil
-	}
-	return strings.Split(s, ",")
 }

@@ -15,6 +15,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"repro/internal/cycles"
 )
@@ -27,7 +28,7 @@ const SchemaVersion = 1
 type Artifact struct {
 	// Schema is the artifact format version (SchemaVersion).
 	Schema int `json:"schema"`
-	// Tool is the producing command ("reproduce", "netbench", ...).
+	// Tool is the producing command ("reproduce", "chaosbench", ...).
 	Tool string `json:"tool"`
 	// CreatedAt is an RFC3339 wall-clock stamp. Informational only:
 	// benchdiff never compares it.
@@ -67,6 +68,46 @@ type Experiment struct {
 	// in milliseconds. Informational only (profiling aid): benchdiff
 	// never compares it — virtual-time metrics live in Series.
 	WallMs float64 `json:"wall_ms,omitempty"`
+}
+
+// String renders the experiment as an aligned text table: title, note,
+// column headers, a dashed rule, then the rows.
+func (e Experiment) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s\n", e.Title)
+	if e.Note != "" {
+		fmt.Fprintf(&b, "%s\n", e.Note)
+	}
+	widths := make([]int, len(e.Columns))
+	for i, c := range e.Columns {
+		widths[i] = len(c)
+	}
+	for _, row := range e.Rows {
+		for i, c := range row {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
+			}
+		}
+	}
+	line := func(cells []string) {
+		for i, c := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			fmt.Fprintf(&b, "%-*s", widths[i], c)
+		}
+		b.WriteString("\n")
+	}
+	line(e.Columns)
+	sep := make([]string, len(e.Columns))
+	for i := range sep {
+		sep[i] = strings.Repeat("-", widths[i])
+	}
+	line(sep)
+	for _, row := range e.Rows {
+		line(row)
+	}
+	return b.String()
 }
 
 // Winner declares the claim-deciding metric of an experiment.

@@ -12,9 +12,12 @@
 //   - corruption: a failed verification quarantines the entry (atomic
 //     rename into quarantine/) and reports ErrCorrupt, so the caller
 //     recomputes and re-Puts — a corrupt cache degrades to a cold cache,
-//     it never serves bad bytes. Concurrent readers during the
-//     quarantine either still see the old file (and reach the same
-//     verdict) or miss cleanly.
+//     it never serves bad bytes. The rename may catch a healthy entry a
+//     concurrent Put (from any process) landed after the corrupt read,
+//     so the quarantined file is verified again and a healthy one is
+//     linked back into place: a Get never removes an entry it did not
+//     read. Concurrent readers see the corrupt file (and reach the same
+//     verdict), a brief miss, or a healthy entry.
 //
 // Keys are sha256 hex of the canonical-JSON request descriptor (see Key),
 // which includes a fingerprint of the serving binary — a rebuilt simd
@@ -70,6 +73,10 @@ type Store struct {
 	// every Nth Get fail with a synthetic I/O error (retryable).
 	CorruptEvery  int
 	FailReadEvery int
+
+	// beforeQuarantine, when set, runs between a Get's failed
+	// verification and its quarantine (tests pin interleavings with it).
+	beforeQuarantine func()
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -174,6 +181,9 @@ func (s *Store) Get(key string) ([]byte, error) {
 	payload, verr := verify(key, data)
 	if verr != nil {
 		s.corrupt.Add(1)
+		if s.beforeQuarantine != nil {
+			s.beforeQuarantine()
+		}
 		s.quarantine(key)
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, verr)
 	}
@@ -213,14 +223,29 @@ func verify(key string, data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// quarantine moves a corrupt entry out of the live tree. The rename is
-// atomic; if a concurrent reader already moved it (or re-Put raced in a
-// fresh entry), losing the race is fine — the live key is healthy either
-// way, so errors are ignored.
+// quarantine moves a corrupt entry out of the live tree. Whatever sits at
+// the key when the atomic rename runs is what moves — possibly a healthy
+// entry a concurrent Put landed after this Get read the corrupt one — so
+// the moved file is verified again, and a healthy one is linked back.
+// os.Link never replaces an existing file: if yet another Put has landed
+// meanwhile, that newer entry stays and the moved copy is dropped. Every
+// step is an atomic filesystem operation, so the rule holds across
+// processes sharing the store.
 func (s *Store) quarantine(key string) {
+	live := s.entryPath(key)
 	dst := filepath.Join(s.root, "quarantine",
 		fmt.Sprintf("%s.%d.%d", key, os.Getpid(), s.seq.Add(1)))
-	_ = os.Rename(s.entryPath(key), dst)
+	if os.Rename(live, dst) != nil {
+		return // another reader moved it first, or it is already gone
+	}
+	data, err := os.ReadFile(dst)
+	if err != nil {
+		return
+	}
+	if _, verr := verify(key, data); verr == nil {
+		_ = os.Link(dst, live)
+		_ = os.Remove(dst)
+	}
 }
 
 // injectCorruption flips one payload byte of the on-disk entry (chaos

@@ -204,6 +204,35 @@ func TestStoreConcurrentReadersDuringQuarantine(t *testing.T) {
 	}
 }
 
+// TestStoreRePutDuringQuarantineSurvives pins the interleaving behind
+// the quarantine race: a Get reads corrupt bytes, then a concurrent Put
+// heals the key before the Get quarantines. The Get must report the
+// corruption it saw, but the healthy entry it never read must stay live.
+func TestStoreRePutDuringQuarantineSurvives(t *testing.T) {
+	s := open(t)
+	good := []byte("the healed artifact")
+	key := put(t, s, string(good))
+	corruptOnDisk(t, s, key, func(d []byte) []byte {
+		d[len(d)-1] ^= 0xFF
+		return d
+	})
+	s.beforeQuarantine = func() {
+		if err := s.Put(key, good); err != nil {
+			t.Error(err)
+		}
+	}
+	if _, err := s.Get(key); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	s.beforeQuarantine = nil
+	if got, err := s.Get(key); err != nil || !bytes.Equal(got, good) {
+		t.Fatalf("healed entry lost to the quarantine: %q, %v", got, err)
+	}
+	if n := s.QuarantinedCount(); n != 0 {
+		t.Errorf("quarantined = %d, want 0 (the corrupt file was replaced, not moved)", n)
+	}
+}
+
 func TestStoreInjectedReadFailure(t *testing.T) {
 	s := open(t)
 	key := put(t, s, "flaky medium")

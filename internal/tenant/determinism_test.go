@@ -20,7 +20,7 @@ func benchBytes(t *testing.T, parallel int) []byte {
 		defer farm.Close()
 		cfg.Farm = farm
 	}
-	art, _, err := Bench(cfg)
+	art, err := Bench(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,22 +209,22 @@ type BenchConfig struct {
 
 // Bench produces the deterministic tenantbench artifact: experiments
 // "tenantmatrix" and "tenantsweep". Byte-identical at any farm width.
-func Bench(cfg BenchConfig) (*report.Artifact, []*bench.Table, error) {
+func Bench(cfg BenchConfig) (*report.Artifact, error) {
 	mt, _, err := Matrix(MatrixConfig{
 		Seed: cfg.Seed, Schemes: cfg.Schemes, Attacks: cfg.Attacks, Farm: cfg.Farm,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st, _, err := Sweep(SweepConfig{
 		Seed: cfg.Seed, Schemes: cfg.Schemes,
 		TenantCounts: cfg.TenantCounts, FrameSizes: cfg.FrameSizes, Farm: cfg.Farm,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	art := report.New("tenantbench", SweepWindowMs, nil)
 	art.Add(mt.Experiment())
 	art.Add(st.Experiment())
-	return art, []*bench.Table{mt, st}, nil
+	return art, nil
 }
