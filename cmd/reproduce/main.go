@@ -64,8 +64,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	spec := runspec.Spec{Tool: "reproduce"}
 	fs.Float64Var(&spec.WindowMs, "window", 10, "simulated milliseconds per data point")
-	fs.BoolVar(&spec.SkipSensitivity, "skip-sensitivity", false, "with -experiment all, skip the slow extended sections (fig8b, memdetail, sensitivity)")
-	fs.StringVar(&spec.Experiments, "experiment", "all", "comma-separated experiment names (table1,fig1,...,sensitivity), or 'all'")
+	fs.BoolVar(&spec.SkipSensitivity, "skip-sensitivity", false, "with -experiment all, skip the slow extended sections (windowsweep, fig8b, memdetail, sensitivity)")
+	fs.StringVar(&spec.Experiments, "experiment", "all", "comma-separated experiment names (table1,windowsweep,fig1,...,sensitivity), or 'all'")
 	fs.BoolVar(&spec.CycleReport, "cyclereport", false, "append each selected section's cycle-attribution table (simulated-cycle profiler, doc/OBSERVABILITY.md)")
 	jsonOut := fs.String("json", "", "also write a machine-readable artifact to this path (\"auto\" = BENCH_<date>.json)")
 	parallel := fs.Int("parallel", 0, "farm workers for data-point parallelism (<=0 = GOMAXPROCS, 1 = serial)")

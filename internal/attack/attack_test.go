@@ -4,9 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/campaign"
 )
 
-// expected encodes the paper's Table 1 security columns.
+// expected encodes the paper's Table 1 security columns as the three
+// campaign cells Table1 reads: does subpage-harvest leak, does
+// replay-window land, does arbitrary-scan read, and does draining
+// deferred invalidations close the replay window (closed_after_flush)?
 var expected = map[string]struct {
 	subPageLeak  bool
 	windowWrite  bool
@@ -25,78 +29,75 @@ var expected = map[string]struct {
 	// specific replayed-IOVA write inside the bounce arena.
 	bench.SysSWIOTLB: {subPageLeak: false, windowWrite: false, arbitrary: true, closesWindow: true},
 	// Self-invalidating hardware: page-granular (leaks sub-page data)
-	// with a window bounded by the TTL — still open at the ~12us probe
-	// point, hence windowWrite true and "closed after flush" false (no
-	// software flush exists; see TestSelfInvalWindowClosesAtTTL).
+	// with a window bounded by the TTL — still open at the 2us replay,
+	// and no software flush exists to close it early (see
+	// campaign's TestSelfInvalWindowClosesAtTTL).
 	bench.SysSelfInval: {subPageLeak: true, windowWrite: true, arbitrary: false, closesWindow: false},
 }
 
-func TestAttackMatrixMatchesTable1(t *testing.T) {
-	for sys, want := range expected {
-		out, err := Run(sys)
+// cells runs Table 1's three attack cells against one backend.
+func cells(t *testing.T, sys string) (leak, window, scan campaign.Result) {
+	t.Helper()
+	run := func(payload string) campaign.Result {
+		r, err := campaign.Run(sys, payload, 1)
 		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
+			t.Fatalf("%s vs %s: %v", payload, sys, err)
 		}
-		if out.SubPageLeak != want.subPageLeak {
-			t.Errorf("%s: sub-page leak = %v, want %v", sys, out.SubPageLeak, want.subPageLeak)
-		}
-		if out.WindowWrite != want.windowWrite {
-			t.Errorf("%s: window write = %v, want %v", sys, out.WindowWrite, want.windowWrite)
-		}
-		if out.ArbitraryRead != want.arbitrary {
-			t.Errorf("%s: arbitrary read = %v, want %v", sys, out.ArbitraryRead, want.arbitrary)
-		}
-		if out.WindowClosedAfterFlush != want.closesWindow {
-			t.Errorf("%s: window closed after flush = %v, want %v", sys, out.WindowClosedAfterFlush, want.closesWindow)
-		}
+		return r
 	}
+	return run("subpage-harvest"), run("replay-window"), run("arbitrary-scan")
 }
 
-func TestSelfInvalWindowClosesAtTTL(t *testing.T) {
-	// The Basu et al. hardware bounds the replay window to the entry TTL
-	// (default 20us here): a 10us replay lands, a 100us replay faults —
-	// without any software invalidation.
-	samples, err := WindowSweep(bench.SysSelfInval, []float64{10, 100, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samples[0].Landed {
-		t.Error("10us replay should land (inside TTL)")
-	}
-	if samples[1].Landed || samples[2].Landed {
-		t.Error("replays past the TTL must fault")
-	}
-}
-
-func TestDeferredWindowSweepClosesAtTimer(t *testing.T) {
-	// Paper §3: deferred buffers stay accessible for up to 10ms.
-	samples, err := WindowSweep(bench.SysLinuxDefer, []float64{10, 9000, 11000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samples[0].Landed || !samples[1].Landed {
-		t.Error("replays before the 10ms flush should land")
-	}
-	if samples[2].Landed {
-		t.Error("replay after the 10ms timer flush must fault")
+func TestAttackMatrixMatchesTable1(t *testing.T) {
+	for _, sys := range bench.ExtendedSystems {
+		want, ok := expected[sys]
+		if !ok {
+			t.Errorf("%s has no expected Table 1 row", sys)
+			continue
+		}
+		leak, window, scan := cells(t, sys)
+		if leak.Success != want.subPageLeak {
+			t.Errorf("%s: sub-page leak = %v, want %v", sys, leak.Success, want.subPageLeak)
+		}
+		if window.Success != want.windowWrite {
+			t.Errorf("%s: window write = %v, want %v", sys, window.Success, want.windowWrite)
+		}
+		if scan.Success != want.arbitrary {
+			t.Errorf("%s: arbitrary read = %v, want %v", sys, scan.Success, want.arbitrary)
+		}
+		if closed := window.Metrics["closed_after_flush"] == 1; closed != want.closesWindow {
+			t.Errorf("%s: window closed after flush = %v, want %v", sys, closed, want.closesWindow)
+		}
 	}
 }
 
 func TestOnlyCopyIsFullySecure(t *testing.T) {
-	out, err := Run(bench.SysCopy)
-	if err != nil {
-		t.Fatal(err)
+	leak, window, scan := cells(t, bench.SysCopy)
+	if leak.Success || window.Success || scan.Success {
+		t.Errorf("copy must block every attack: leak=%v window=%v scan=%v",
+			leak.Success, window.Success, scan.Success)
 	}
-	if out.SubPageLeak || out.WindowWrite || out.ArbitraryRead {
-		t.Errorf("copy must block every attack: %+v", out)
-	}
-	if len(out.LeakedBytes) != 0 {
-		t.Error("copy leaked bytes")
+	if len(leak.Leaked) != 0 {
+		t.Errorf("copy leaked %q", leak.Leaked)
 	}
 	// Every attack attempt against copy should have faulted or landed in
 	// quarantined shadow memory; the arbitrary scan must fault.
-	if out.Faults == 0 {
-		t.Error("expected at least the arbitrary-scan fault to be recorded")
+	if scan.Metrics["faults"] == 0 {
+		t.Error("expected the arbitrary-scan fault to be recorded")
+	}
+}
+
+func TestNoIOMMUIsDefenseless(t *testing.T) {
+	leak, window, scan := cells(t, bench.SysNoIOMMU)
+	if !leak.Success || !window.Success || !scan.Success {
+		t.Errorf("no-iommu must lose every attack: leak=%v window=%v scan=%v",
+			leak.Success, window.Success, scan.Success)
+	}
+	if string(leak.Leaked) != string(campaign.Secret) {
+		t.Errorf("no-iommu leak should recover the exact secret, got %q", leak.Leaked)
+	}
+	if faults := leak.Metrics["faults"] + window.Metrics["faults"] + scan.Metrics["faults"]; faults != 0 {
+		t.Errorf("no-iommu should never fault, got %v", faults)
 	}
 }
 
@@ -137,21 +138,5 @@ func TestTable1CopyIsTheOnlyAllYesRow(t *testing.T) {
 	}
 	if len(table.Rows) != len(rows) {
 		t.Error("rendered table row count mismatch")
-	}
-}
-
-func TestNoIOMMUIsDefenseless(t *testing.T) {
-	out, err := Run(bench.SysNoIOMMU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.SubPageLeak || !out.WindowWrite || !out.ArbitraryRead {
-		t.Errorf("no-iommu must fail every attack: %+v", out)
-	}
-	if string(out.LeakedBytes) != string(secret) {
-		t.Errorf("leak should recover the exact secret, got %q", out.LeakedBytes)
-	}
-	if out.Faults != 0 {
-		t.Errorf("no-iommu should never fault, got %d", out.Faults)
 	}
 }

@@ -3,12 +3,13 @@
 // identify / deliver / verify / cleanup — against a live simulated
 // machine (IOMMU, page tables, IOTLB, protection strategy). Outcomes are
 // observed, never scripted: a payload succeeds or fails according to the
-// translation state the strategy actually produced, exactly like
-// internal/attack's original three scenarios (which now run on this
-// engine).
+// translation state the strategy actually produced.
 //
-// The package generalizes the paper's Table 1 from 3 attacks x 6
-// protection models to a ~10 x 8 success matrix (Matrix, cmd/attackbench)
+// This is the only code that attacks a machine. Three views read its
+// cells: the paper's Table 1 security columns (internal/attack.Table1
+// runs subpage-harvest, replay-window and arbitrary-scan), the §3
+// replay-window sweep (WindowSweep, the reproduce "windowsweep"
+// section), and the ~10 x 8 success matrix (Matrix, cmd/attackbench)
 // that is deterministic per seed and regression-gated in CI against
 // ci/attack-baseline.json — any cell flip (a defense newly broken or
 // newly effective) fails the build.
@@ -35,8 +36,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Secret is the co-located kernel data harvest payloads try to steal
-// (shared with internal/attack's Table 1 scenarios).
+// Secret is the co-located kernel data harvest payloads try to steal.
 var Secret = []byte("TLS-PRIVATE-KEY:0xDEADBEEFCAFEBABE")
 
 // Payload is one programmable attack. The four phases run in order, in
@@ -85,7 +85,7 @@ type Result struct {
 }
 
 // Target is one assembled victim machine under attack: the compromised
-// device is the machine's own NIC (device 1), as in internal/attack.
+// device is the machine's own NIC (device 1).
 type Target struct {
 	Mach   *bench.Machine
 	System string
@@ -186,6 +186,14 @@ func Run(system, payload string, seed int64) (Result, error) {
 	if err != nil {
 		return Result{Payload: payload, System: system, Err: err}, err
 	}
+	return t.Attack(pl)
+}
+
+// Attack executes pl on the target in a fresh proc, runs the machine for
+// CellWindowMs and returns the observed Result with the IOMMU's fault
+// and blocked-DMA counts. The target is stopped afterwards: one payload
+// per target.
+func (t *Target) Attack(pl Payload) (Result, error) {
 	r := Result{Metrics: make(map[string]float64)}
 	var execErr error
 	t.Mach.Eng.Spawn("campaign", 0, 0, func(p *sim.Proc) {

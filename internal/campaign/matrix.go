@@ -79,3 +79,60 @@ func Matrix(cfg MatrixConfig) (*bench.Table, []Result, error) {
 	}
 	return tb, results, nil
 }
+
+// sweepSystems are the backends the replay-window sweep charts: both
+// deferred designs, the TTL-bounded self-invalidating IOMMU, and two
+// designs that close the window at unmap.
+var sweepSystems = []string{bench.SysLinuxDefer, bench.SysIdentityDefer, bench.SysSelfInval, bench.SysLinuxStrict, bench.SysCopy}
+
+// sweepDelaysUs are the sweep's post-unmap replay delays, spanning the
+// self-invalidating TTL (20 us) and the deferred-flush timer (10 ms).
+var sweepDelaysUs = []float64{1, 10, 100, 1000, 5000, 9000, 11000, 20000}
+
+// WindowSweep charts how long after dma_unmap a replayed device write
+// still reaches OS memory — the paper's §3 observation that deferred
+// buffers stay device-writable for up to 10 ms. Each (system, delay) is
+// one replay-window cell without the flush check, on a fresh machine,
+// fanned over farm. Points carry the cell metrics under the system, at
+// label "+<delay>us".
+func WindowSweep(farm *bench.Farm) (*bench.Table, error) {
+	nd := len(sweepDelaysUs)
+	results := make([]Result, len(sweepSystems)*nd)
+	err := farm.Map(len(results), func(i int) error {
+		t, err := NewTarget(sweepSystems[i/nd], 1)
+		if err != nil {
+			return err
+		}
+		results[i], err = t.Attack(&replayWindow{delayUs: sweepDelaysUs[i%nd]})
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	tb := &bench.Table{
+		Name:    "windowsweep",
+		Title:   "Replay-after-unmap window sweep (§3: deferred buffers stay device-writable for up to 10 ms)",
+		Note:    "LANDED = a write replayed that long after dma_unmap corrupted reused OS memory.",
+		Columns: append([]string{"delay after unmap"}, sweepSystems...),
+	}
+	for di, d := range sweepDelaysUs {
+		cells := []string{sweepLabel(d)}
+		for si := range sweepSystems {
+			if results[si*nd+di].Success {
+				cells = append(cells, "LANDED")
+			} else {
+				cells = append(cells, "blocked")
+			}
+		}
+		tb.AddRow(cells...)
+	}
+	for si, s := range sweepSystems {
+		for di, d := range sweepDelaysUs {
+			tb.Point(s, sweepLabel(d), results[si*nd+di].Metrics)
+		}
+	}
+	return tb, nil
+}
+
+// sweepLabel is the WindowSweep row and point label of a replay delay.
+func sweepLabel(delayUs float64) string { return fmt.Sprintf("+%gus", delayUs) }

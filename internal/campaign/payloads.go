@@ -18,7 +18,7 @@ import (
 var builders = []func() Payload{
 	func() Payload { return &subPageHarvest{} },
 	func() Payload { return &arbitraryScan{} },
-	func() Payload { return NewReplayWindow(2, true) },
+	func() Payload { return &replayWindow{delayUs: 2, checkFlush: true} },
 	func() Payload { return &discovery{} },
 	func() Payload { return &ringCorrupt{} },
 	func() Payload { return &faultStorm{} },
@@ -159,32 +159,27 @@ func (a *arbitraryScan) Cleanup(p *sim.Proc, t *Target) error { return nil }
 
 // ---- replay-window ---------------------------------------------------
 
-// ReplayWindow performs the paper's §3 attack: use a mapping
+// replayWindow performs the paper's §3 attack: use a mapping
 // legitimately, let the OS unmap and reuse the buffer, then replay a
-// write to the stale IOVA after DelayUs. With CheckFlush it additionally
+// write to the stale IOVA after delayUs. With checkFlush it additionally
 // verifies whether draining deferred invalidations closes the window.
-// Exported because internal/attack's WindowSweep re-runs it at swept
-// delays.
-type ReplayWindow struct {
-	DelayUs    float64
-	CheckFlush bool
+// The library instance replays after 2 us with the flush check;
+// WindowSweep re-runs it at swept delays without.
+type replayWindow struct {
+	delayUs    float64
+	checkFlush bool
 
 	m      *Mapping
 	landed bool
 	closed bool
 }
 
-// NewReplayWindow builds the payload with the given post-unmap delay.
-func NewReplayWindow(delayUs float64, checkFlush bool) *ReplayWindow {
-	return &ReplayWindow{DelayUs: delayUs, CheckFlush: checkFlush}
-}
-
-func (w *ReplayWindow) Name() string { return "replay-window" }
-func (w *ReplayWindow) Title() string {
+func (w *replayWindow) Name() string { return "replay-window" }
+func (w *replayWindow) Title() string {
 	return "replay a just-unmapped IOVA and corrupt reused OS memory"
 }
 
-func (w *ReplayWindow) Identify(p *sim.Proc, t *Target) error {
+func (w *replayWindow) Identify(p *sim.Proc, t *Target) error {
 	var err error
 	if w.m, err = t.MapVictim(p, 1500, dmaapi.FromDevice); err != nil {
 		return err
@@ -192,19 +187,19 @@ func (w *ReplayWindow) Identify(p *sim.Proc, t *Target) error {
 	return t.BenignDMA(p, w.m)
 }
 
-func (w *ReplayWindow) Deliver(p *sim.Proc, t *Target) error {
+func (w *replayWindow) Deliver(p *sim.Proc, t *Target) error {
 	// The OS unmaps and immediately reuses the memory (sentinel fill).
 	if err := t.UnmapVictim(p, w.m); err != nil {
 		return err
 	}
-	sleepUs(p, w.DelayUs)
+	sleepUs(p, w.delayUs)
 	evil := []byte("EVIL-REPLAYED-DMA-WRITE")
 	t.ReplayObserved(p, w.m.Index, evil)
 	var err error
 	if w.landed, err = t.corrupted(w.m); err != nil {
 		return err
 	}
-	if !w.CheckFlush {
+	if !w.checkFlush {
 		return nil
 	}
 	// Restore, drain deferred invalidations, and replay again: does the
@@ -223,24 +218,21 @@ func (w *ReplayWindow) Deliver(p *sim.Proc, t *Target) error {
 	return nil
 }
 
-func (w *ReplayWindow) Verify(p *sim.Proc, t *Target, r *Result) error {
+func (w *replayWindow) Verify(p *sim.Proc, t *Target, r *Result) error {
 	r.Success = w.landed
 	r.Metrics["window_hit"] = b2f(w.landed)
-	if w.CheckFlush {
+	if w.checkFlush {
 		r.Metrics["closed_after_flush"] = b2f(w.closed)
 	}
 	if w.landed {
-		r.Detail = fmt.Sprintf("stale replay landed %.0fus after unmap", w.DelayUs)
+		r.Detail = fmt.Sprintf("stale replay landed %.0fus after unmap", w.delayUs)
 	} else {
 		r.Detail = "post-unmap replay faulted or landed harmlessly"
 	}
 	return nil
 }
 
-func (w *ReplayWindow) Cleanup(p *sim.Proc, t *Target) error { return nil }
-
-// Landed reports whether the replay corrupted OS memory (for WindowSweep).
-func (w *ReplayWindow) Landed() bool { return w.landed }
+func (w *replayWindow) Cleanup(p *sim.Proc, t *Target) error { return nil }
 
 // ---- ring-corrupt ----------------------------------------------------
 

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/bench"
+	"repro/internal/campaign"
 	"repro/internal/chaos"
 	"repro/internal/report"
 	"repro/internal/store"
@@ -99,10 +100,8 @@ func (s Spec) Normalize() (Spec, error) {
 		n.Seed = defInt64(s.Seed, 1)
 		n.Schemes = canonList(s.Schemes)
 		n.Attacks = canonList(s.Attacks)
-		n.Tenants = canonList(s.Tenants)
-		n.Frames = canonList(s.Frames)
-		if _, err = splitInts(n.Tenants); err == nil {
-			_, err = splitInts(n.Frames)
+		if n.Tenants, err = canonInts(s.Tenants); err == nil {
+			n.Frames, err = canonInts(s.Frames)
 		}
 	default:
 		err = fmt.Errorf("unknown tool %q (have %s)", s.Tool, strings.Join(Tools, ","))
@@ -117,19 +116,26 @@ func (s Spec) SupportsPreview() bool {
 }
 
 // sections returns the sections a normalized reproduce spec runs, in
-// report order: Table 1 (when selected) leads, then the suite sections.
-// "all" is Table 1 plus the extended suite, or the base suite when
-// SkipSensitivity; an explicit list selects from the extended suite.
+// report order: the attack views lead (Table 1, then the extended-only
+// replay-window sweep), then the suite sections. "all" is the attack
+// views plus the extended suite, or Table 1 plus the base suite when
+// SkipSensitivity; an explicit list selects from the extended set.
 // Table 1's attack verdicts land in *verdicts when it is non-nil.
 func (s Spec) sections(verdicts *[]report.AttackVerdict) []bench.Section {
-	table1 := bench.Section{Name: "table1", Run: func(o bench.Options) (*bench.Table, error) {
+	extended := s.Experiments != "all" || !s.SkipSensitivity
+	all := []bench.Section{{Name: "table1", Run: func(o bench.Options) (*bench.Table, error) {
 		rows, t, err := attack.Table1(o.WindowMs)
 		if verdicts != nil {
 			*verdicts = attack.Verdicts(rows)
 		}
 		return t, err
-	}}
-	all := append([]bench.Section{table1}, bench.Suite(s.Experiments != "all" || !s.SkipSensitivity)...)
+	}}}
+	if extended {
+		all = append(all, bench.Section{Name: "windowsweep", Run: func(o bench.Options) (*bench.Table, error) {
+			return campaign.WindowSweep(o.Farm)
+		}})
+	}
+	all = append(all, bench.Suite(extended)...)
 	if s.Experiments == "all" {
 		return all
 	}
@@ -204,8 +210,26 @@ func canonList(s string) string {
 	return strings.Join(out, ",")
 }
 
+// canonInts canonicalizes a comma list of counts by value: parsed,
+// deduplicated, sorted numerically and re-formatted, so "016" means 16
+// and 1024 sorts after 256. "all" and "" normalize to "all".
+func canonInts(s string) (string, error) {
+	ns, err := splitInts(canonList(s))
+	if err != nil || ns == nil {
+		return "all", err
+	}
+	sort.Ints(ns)
+	var out []string
+	for i, n := range ns {
+		if i == 0 || n != ns[i-1] {
+			out = append(out, strconv.Itoa(n))
+		}
+	}
+	return strings.Join(out, ","), nil
+}
+
 // canonExperiments canonicalizes and validates a reproduce experiment
-// list against the extended suite plus "table1".
+// list against the attack views and the extended suite.
 func canonExperiments(s string) (string, error) {
 	c := canonList(s)
 	if c == "all" {

@@ -55,6 +55,28 @@ func TestNormalizeIsCanonical(t *testing.T) {
 	}
 }
 
+// TestNormalizeCountsByValue: tenant and frame lists are counts, so
+// they canonicalize by value — sorted numerically, with "016" and "16"
+// the same count — while default and single-valued lists keep their
+// form (and so their store keys).
+func TestNormalizeCountsByValue(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"16,256,1024", "16,256,1024"},
+		{"1024, 256,016,16", "16,256,1024"},
+		{"16", "16"},
+		{"", "all"},
+		{"all", "all"},
+	} {
+		n, err := Spec{Tool: "tenantbench", Tenants: c.in, Frames: c.in}.Normalize()
+		if err != nil {
+			t.Fatalf("%q: %v", c.in, err)
+		}
+		if n.Tenants != c.want || n.Frames != c.want {
+			t.Errorf("%q normalizes to tenants %q frames %q, want %q", c.in, n.Tenants, n.Frames, c.want)
+		}
+	}
+}
+
 func sectionNames(s Spec) string {
 	var out []string
 	for _, sec := range s.sections(nil) {
@@ -74,6 +96,7 @@ func TestSectionsAndTraceWorkload(t *testing.T) {
 			"cycles-mtu"},
 		{Spec{Tool: "reproduce", Experiments: "fig8b,fig10,table1"}, "table1,fig10,fig8b", "cycles-rr"},
 		{Spec{Tool: "reproduce", Experiments: "memdetail"}, "memdetail", "cycles-mtu"},
+		{Spec{Tool: "reproduce", Experiments: "windowsweep,table1"}, "table1,windowsweep", "cycles-mtu"},
 	}
 	for _, c := range cases {
 		n, err := c.spec.Normalize()

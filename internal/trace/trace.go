@@ -38,11 +38,10 @@ type Tracer struct {
 	next    int
 	wrapped bool
 	seq     uint64
-	filter  map[string]bool // nil = accept all
-	hz      float64         // 0 = the simulation's cycles.Hz
 
-	// Stats
-	Emitted, Dropped uint64
+	// Emitted counts every recorded event, including those the ring has
+	// since overwritten.
+	Emitted uint64
 }
 
 // New creates a tracer holding the most recent `capacity` events.
@@ -56,25 +55,9 @@ func New(capacity int) *Tracer {
 // Enabled reports whether the tracer records anything.
 func (t *Tracer) Enabled() bool { return t != nil && t.ring != nil }
 
-// SetFilter restricts recording to the given categories (nil resets).
-func (t *Tracer) SetFilter(cats ...string) {
-	if len(cats) == 0 {
-		t.filter = nil
-		return
-	}
-	t.filter = make(map[string]bool, len(cats))
-	for _, c := range cats {
-		t.filter[c] = true
-	}
-}
-
 // Emit records an event. Safe to call on a nil or zero tracer.
 func (t *Tracer) Emit(at uint64, cat, format string, args ...interface{}) {
 	if !t.Enabled() {
-		return
-	}
-	if t.filter != nil && !t.filter[cat] {
-		t.Dropped++
 		return
 	}
 	t.seq++
@@ -103,19 +86,10 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// SetHz overrides the clock frequency used to render timestamps (for
-// traces captured under a non-default cost model). Zero restores the
-// simulation's cycles.Hz.
-func (t *Tracer) SetHz(hz float64) { t.hz = hz }
-
 // Dump writes the trace as text, one event per line. Timestamps are
 // converted with the simulation clock (cycles.Hz), not a hard-coded rate.
 func (t *Tracer) Dump(w io.Writer) {
-	hz := t.hz
-	if hz <= 0 {
-		hz = cycles.Hz
-	}
-	cyclesPerUs := hz / 1e6
+	cyclesPerUs := cycles.Hz / 1e6
 	for _, e := range t.Events() {
 		us := float64(e.At) / cyclesPerUs
 		fmt.Fprintf(w, "%12.3fus %-6s %s\n", us, e.Cat, e.Msg)

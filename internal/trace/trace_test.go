@@ -40,26 +40,6 @@ func TestRingKeepsMostRecent(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	tr := New(8)
-	tr.SetFilter(CatFault)
-	tr.Emit(1, CatMap, "m")
-	tr.Emit(2, CatFault, "f")
-	tr.Emit(3, CatInval, "i")
-	ev := tr.Events()
-	if len(ev) != 1 || ev[0].Cat != CatFault {
-		t.Errorf("filter broken: %v", ev)
-	}
-	if tr.Dropped != 2 {
-		t.Errorf("dropped = %d", tr.Dropped)
-	}
-	tr.SetFilter() // reset
-	tr.Emit(4, CatMap, "m2")
-	if len(tr.Events()) != 2 {
-		t.Error("reset filter broken")
-	}
-}
-
 func TestDumpFormat(t *testing.T) {
 	tr := New(8)
 	tr.Emit(2400, CatFault, "dev %d iova %#x", 1, 0x5000)
@@ -80,19 +60,5 @@ func TestDumpFrequency(t *testing.T) {
 	// 4800 cycles at the simulation's 2.4 GHz clock is 2 us.
 	if !strings.Contains(b.String(), "2.000us") {
 		t.Errorf("default-frequency dump: %q", b.String())
-	}
-	// At 1.2 GHz the same timestamp is 4 us — Dump must honour the
-	// configured clock, not a hard-coded 2400 cycles/us.
-	tr.SetHz(1.2e9)
-	b.Reset()
-	tr.Dump(&b)
-	if !strings.Contains(b.String(), "4.000us") {
-		t.Errorf("overridden-frequency dump: %q", b.String())
-	}
-	tr.SetHz(0) // reset to the simulation clock
-	b.Reset()
-	tr.Dump(&b)
-	if !strings.Contains(b.String(), "2.000us") {
-		t.Errorf("reset-frequency dump: %q", b.String())
 	}
 }
