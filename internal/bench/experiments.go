@@ -508,6 +508,7 @@ func MemoryDetail(opt Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
+		defer mach.Mem.Release()
 		if res, err = runRx(mach, cfg); err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -227,11 +228,15 @@ func (p *pool) worker(w int) {
 			return
 		}
 		p.pending--
+		// Counted in flight before the lock drops, so an idle worker
+		// never sees a taken point as neither queued nor in flight.
+		p.inflight.Add(1)
 		p.mu.Unlock()
 
 		if t.grp.ctx != nil && t.grp.ctx.Err() != nil {
 			// The group's request was cancelled: complete the point with
 			// the context error without burning a simulation on it.
+			p.inflight.Add(-1)
 			p.canceled.Add(1)
 			p.finish(t, t.grp.ctx.Err())
 			continue
@@ -239,7 +244,6 @@ func (p *pool) worker(w int) {
 		if t.home != w {
 			p.stolen.Add(1)
 		}
-		p.inflight.Add(1)
 		start := time.Now()
 		err := runPoint(t.fn, t.idx)
 		p.busyNs[w].Add(int64(time.Since(start)))
@@ -248,14 +252,22 @@ func (p *pool) worker(w int) {
 	}
 }
 
-// finish records a completed point and releases its group when it was the
-// last one.
+// finish records a completed point (no longer counted in flight) and
+// releases its group when it was the last one.
 func (p *pool) finish(t *task, err error) {
 	p.executed.Add(1)
 	if err != nil && IsPanic(err) {
 		p.panics.Add(1)
 	}
 	p.mu.Lock()
+	if p.pending == 0 && p.inflight.Load() == 0 {
+		// The pool is idle: the sweep whose machines filled mem's free
+		// list of released frame chunks is over, and an idle pool (a
+		// daemon between requests) should not keep 16 MiB of them live.
+		// Dropping before the group is released means a returning Map
+		// already finds the list empty.
+		mem.DropFreeChunks()
+	}
 	t.grp.errs[t.idx] = err
 	t.grp.done++
 	if t.grp.done == t.grp.n {

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -212,5 +213,60 @@ func TestPointSeedDerivation(t *testing.T) {
 			}
 			seen[s] = key
 		}
+	}
+}
+
+// firstTouchIsFresh reports whether materializing a frame chunk in a new
+// machine memory allocated a fresh 1 MiB chunk rather than taking a
+// recycled one off mem's free list.
+func firstTouchIsFresh(t *testing.T) bool {
+	t.Helper()
+	m := mem.New(1)
+	p, err := m.AllocPages(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := m.Write(p, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc-before.TotalAlloc >= 1<<20
+}
+
+// releaseOneChunk puts one materialized chunk on mem's free list.
+func releaseOneChunk(t *testing.T) {
+	t.Helper()
+	m := mem.New(1)
+	p, err := m.AllocPages(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Write(p, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	m.Release()
+}
+
+func TestFarmDropsRecycledChunksWhenIdle(t *testing.T) {
+	defer mem.DropFreeChunks()
+	// Control: with nothing draining the list, a released chunk is
+	// reused, and the probe can tell.
+	mem.DropFreeChunks()
+	releaseOneChunk(t)
+	if firstTouchIsFresh(t) {
+		t.Fatal("a released chunk was not recycled")
+	}
+
+	f := NewFarm(2)
+	defer f.Close()
+	if err := f.Map(3, func(int) error { releaseOneChunk(t); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	// The last point to finish found the pool idle and dropped the list
+	// before Map returned.
+	if !firstTouchIsFresh(t) {
+		t.Error("an idle farm kept released chunks on mem's free list")
 	}
 }

@@ -37,6 +37,7 @@ func runMemcached(system string, cores int, windowMs float64, o *obs.Observer) (
 	if err != nil {
 		return KVResult{}, nil, err
 	}
+	defer mach.Mem.Release()
 	scfg := kv.DefaultServerConfig()
 	ccfg := kv.DefaultClientConfig()
 	stores := make([]*kv.Store, cores)

@@ -36,6 +36,7 @@ func RunMixed(system string, netCores, blkCores int, windowMs float64) (MixedRes
 	costs := cycles.Default()
 	eng := sim.NewEngine()
 	m := mem.New(2)
+	defer m.Release()
 	u := iommu.New(eng, m, costs)
 	totalCores := netCores + blkCores
 

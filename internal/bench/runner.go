@@ -237,6 +237,7 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	defer mach.Mem.Release()
 	switch cfg.Direction {
 	case RX:
 		return runRx(mach, cfg)

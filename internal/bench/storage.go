@@ -34,6 +34,7 @@ func RunStorage(system string, cores, ioSize, readPct int, windowMs float64) (St
 	if err != nil {
 		return StorageResult{}, err
 	}
+	defer mach.Mem.Release()
 	dev := ssd.New(mach.Eng, mach.IOMMU, ssd.Config{
 		Dev:    mach.Env.Dev,
 		Queues: cores,

@@ -6,6 +6,7 @@ package mem
 
 import (
 	"fmt"
+	"sync"
 )
 
 const (
@@ -52,10 +53,64 @@ const domainSpan = 1 << 22
 // no zeroing at all; reads from them are served as zeros. The previous
 // map[uint64]*page store allocated a fresh GC-tracked 4 KiB object on
 // every AllocPages, which dominated benchmark wall clock.
+//
+// Chunk lifecycle: a chunk is materialized by the first write to one of
+// its pages (ensure), taken from the package free list when one is there
+// and allocated fresh otherwise. Release hands a memory's chunks to that
+// list, which keeps at most chunkCacheCap of them, so the next machine
+// assembled in the same sweep reuses them instead of allocating and
+// zeroing another 1 MiB. A recycled chunk is cleared where its frames'
+// dirty watermarks say it was written, which leaves it byte-for-byte a
+// fresh chunk. DropFreeChunks empties the list; bench.Farm workers call
+// it whenever the pool goes idle, so the list never outlives the sweep
+// that filled it.
 const (
 	chunkShift  = 8 // 256 frames (1 MiB of data) per chunk
 	chunkFrames = 1 << chunkShift
+
+	// chunkCacheCap bounds the free list (16 MiB). A larger list saves
+	// more allocation but is heap the GC sees as live, which costs about
+	// twice its size in resident memory.
+	chunkCacheCap = 16
 )
+
+// freeChunks is the package free list of released chunks. Chunks in it
+// still hold their old bytes; takeChunk clears them before reuse.
+var freeChunks struct {
+	mu     sync.Mutex
+	chunks []*frameChunk
+}
+
+// takeChunk returns an all-zero chunk, recycled when the free list has
+// one.
+func takeChunk() *frameChunk {
+	freeChunks.mu.Lock()
+	n := len(freeChunks.chunks)
+	if n == 0 {
+		freeChunks.mu.Unlock()
+		return new(frameChunk)
+	}
+	c := freeChunks.chunks[n-1]
+	freeChunks.chunks[n-1] = nil
+	freeChunks.chunks = freeChunks.chunks[:n-1]
+	freeChunks.mu.Unlock()
+	for i := range c {
+		if f := &c[i]; f.dirty > 0 {
+			clear(f.data[:f.dirty])
+			f.dirty = 0
+		}
+	}
+	return c
+}
+
+// DropFreeChunks empties the free list of released chunks, handing them
+// to the garbage collector.
+func DropFreeChunks() {
+	freeChunks.mu.Lock()
+	clear(freeChunks.chunks)
+	freeChunks.chunks = freeChunks.chunks[:0]
+	freeChunks.mu.Unlock()
+}
 
 type frame struct {
 	data [PageSize]byte
@@ -117,7 +172,7 @@ func (ds *domainStore) ensure(idx uint64) *frame {
 		ds.chunks = append(ds.chunks, nil)
 	}
 	if ds.chunks[ci] == nil {
-		ds.chunks[ci] = new(frameChunk)
+		ds.chunks[ci] = takeChunk()
 	}
 	return &ds.chunks[ci][idx&(chunkFrames-1)]
 }
@@ -140,6 +195,8 @@ type Memory struct {
 	// frames are cached.
 	cachePFN uint64
 	cacheF   *frame
+
+	released bool // Release was called: every page is gone
 }
 
 // New creates a machine memory with the given number of NUMA domains.
@@ -156,6 +213,29 @@ func New(domains int) *Memory {
 		m.doms[d].nextPFN = uint64(d)*domainSpan + 1
 	}
 	return m
+}
+
+// Release ends the memory's life: its materialized chunks go to the
+// package free list (up to its cap) for the next memory to reuse, and
+// every page becomes unallocated, so any later Read, Write, Copy or Fill
+// fails as an access to unallocated memory does, and AllocPages fails.
+// The caller must hold no other reference into the memory — call it
+// once the machine's engine has stopped and its results are collected.
+// The in-use counters keep their last values. Release is idempotent.
+func (m *Memory) Release() {
+	m.released = true
+	m.cacheF = nil
+	freeChunks.mu.Lock()
+	for d := range m.doms {
+		ds := &m.doms[d]
+		for _, c := range ds.chunks {
+			if c != nil && len(freeChunks.chunks) < chunkCacheCap {
+				freeChunks.chunks = append(freeChunks.chunks, c)
+			}
+		}
+		ds.chunks, ds.usedBits, ds.free = nil, nil, nil
+	}
+	freeChunks.mu.Unlock()
 }
 
 // Domains returns the number of NUMA domains.
@@ -214,6 +294,9 @@ func (m *Memory) AllocPages(domain, n int) (Phys, error) {
 	}
 	if n <= 0 {
 		return 0, fmt.Errorf("mem: bad page count %d", n)
+	}
+	if m.released {
+		return 0, fmt.Errorf("mem: allocation from released memory")
 	}
 	if m.AllocFail != nil && m.AllocFail(domain, n) {
 		return 0, ErrInjectedAllocFail

@@ -80,6 +80,7 @@ type Queue struct {
 	txOutstanding int // posted but not yet completed (bounds in-flight)
 
 	txBusyTill uint64 // per-queue DMA engine availability
+	txScratch  []byte // payload staging for deviceTx, reused per descriptor
 
 	// onCredit is invoked (engine context) whenever the driver posts a
 	// new RX buffer; traffic sources use it to resume when the receiver
@@ -268,8 +269,7 @@ func (q *Queue) deviceTx(now uint64) {
 		if n.TxDMAHook != nil {
 			n.TxDMAHook(q.idx, d.Addr, d.Len)
 		}
-		buf := make([]byte, d.Len)
-		res := n.u.DMARead(n.cfg.Dev, d.Addr, buf)
+		res := q.fetchTx(d)
 		start := now
 		if q.txBusyTill > start {
 			start = q.txBusyTill
@@ -307,6 +307,17 @@ func (q *Queue) deviceTx(now uint64) {
 		q.txBusyTill = last
 		q.completeTx(last, d)
 	}
+}
+
+// fetchTx DMA-reads a descriptor's payload through the IOMMU. The fetched
+// bytes are never looked at again (the wire model carries lengths only),
+// so one staging buffer per queue serves every descriptor; the read still
+// translates, faults and fills the IOTLB like any other DMA.
+func (q *Queue) fetchTx(d Desc) iommu.DMAResult {
+	if cap(q.txScratch) < d.Len {
+		q.txScratch = make([]byte, d.Len)
+	}
+	return q.nic.u.DMARead(q.nic.cfg.Dev, d.Addr, q.txScratch[:d.Len])
 }
 
 func (q *Queue) completeTx(at uint64, d Desc) {

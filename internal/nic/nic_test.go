@@ -308,3 +308,59 @@ func TestWireAggregatesMultipleQueues(t *testing.T) {
 		t.Errorf("aggregate TX %.1f Gb/s too low for saturating senders", gbps)
 	}
 }
+
+func TestSourcePendingStaysBounded(t *testing.T) {
+	r := newNICRig(1, false)
+	q := r.n.Queue(0)
+	const bufs = 16
+	base, _ := r.m.AllocPages(0, bufs)
+	// 64 KiB messages go out as back-to-back frames, so the sender's
+	// syscall cap never leaves the wire empty.
+	src := NewSource(r.eng, q, cycles.Default(), 65536, 1500, true)
+	src.Start(0)
+	maxCap := 0
+	r.eng.Spawn("drv", 0, 0, func(p *sim.Proc) {
+		for i := 0; i < bufs; i++ {
+			q.PostRx(p, Desc{Addr: iommu.IOVA(base) + iommu.IOVA(i*mem.PageSize), Len: 2048})
+		}
+		// Repost every completed buffer at once, so the source always
+		// has frames on the wire and its in-flight queue never empties.
+		for {
+			q.RxCond.WaitUntil(p, q.HasRx)
+			for _, c := range q.DrainRx() {
+				q.PostRx(p, c.Desc)
+			}
+			if c := cap(src.pending); c > maxCap {
+				maxCap = c
+			}
+		}
+	})
+	r.eng.Run(cycles.FromMillis(2))
+	src.Stop()
+	r.eng.Stop()
+	if src.FramesSent < 1000 {
+		t.Fatalf("frames sent = %d, want a long stream", src.FramesSent)
+	}
+	// At most `bufs` frames are ever in flight; the slice holding them
+	// must not grow with the number of frames sent.
+	if maxCap > 4*bufs {
+		t.Errorf("pending capacity reached %d for %d frames sent, in flight <= %d",
+			maxCap, src.FramesSent, bufs)
+	}
+}
+
+func TestTxFetchAllocatesNothing(t *testing.T) {
+	r := newNICRig(1, true)
+	q := r.n.Queue(0)
+	const pages = 16 // a 64 KiB TSO descriptor
+	buf, _ := r.m.AllocPages(0, pages)
+	d := Desc{Addr: iommu.IOVA(buf), Len: pages * mem.PageSize}
+	allocs := testing.AllocsPerRun(100, func() {
+		if res := q.fetchTx(d); res.Fault != nil || res.Done != d.Len {
+			t.Fatalf("fetch: done %d fault %v", res.Done, res.Fault)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("TX descriptor fetch allocates %.1f objects per op, want 0", allocs)
+	}
+}

@@ -196,8 +196,15 @@ func (s *Source) deliver(at uint64) {
 	pf := s.pending[s.pendingAt]
 	s.pending[s.pendingAt] = pendingFrame{}
 	s.pendingAt++
-	if s.pendingAt == len(s.pending) {
-		s.pending = s.pending[:0]
+	if 2*s.pendingAt >= len(s.pending) {
+		// Drop the consumed prefix once it is half the slice. A source
+		// that always has frames in flight never empties the queue, and
+		// would otherwise grow it for as long as it runs; copying at
+		// most as many entries as were consumed keeps this O(1)
+		// amortized.
+		n := copy(s.pending, s.pending[s.pendingAt:])
+		clear(s.pending[n:])
+		s.pending = s.pending[:n]
 		s.pendingAt = 0
 	}
 	s.inflight--

@@ -18,6 +18,9 @@ type BlockDriver struct {
 	mapper dmaapi.Mapper
 	dev    *SSD
 	k      *mem.Kmalloc
+	// wdata stages each write's random payload on its way into the I/O
+	// buffer; nothing reads it back, so one buffer serves every queue.
+	wdata []byte
 }
 
 // NewBlockDriver creates the driver.
@@ -46,7 +49,7 @@ type inflight struct {
 	buf  mem.Buf
 	dir  dmaapi.Dir
 	lba  uint64
-	data []byte // expected read content / written content
+	data []byte // expected read content (Verify only)
 }
 
 // RunWorkload runs random I/O on queue qi until the engine stops it.
@@ -140,9 +143,12 @@ func (bd *BlockDriver) RunWorkload(p *sim.Proc, qi int, cfg WorkloadConfig, st *
 			cmd = Command{Op: OpRead, LBA: lba, Addr: addr, Len: cfg.IOSize, Tag: fl}
 		} else {
 			fl.dir = dmaapi.ToDevice
-			fl.data = make([]byte, cfg.IOSize)
-			rng.Read(fl.data)
-			if err := bd.env.Mem.Write(buf.Addr, fl.data); err != nil {
+			if cap(bd.wdata) < cfg.IOSize {
+				bd.wdata = make([]byte, cfg.IOSize)
+			}
+			data := bd.wdata[:cfg.IOSize]
+			rng.Read(data)
+			if err := bd.env.Mem.Write(buf.Addr, data); err != nil {
 				return err
 			}
 			addr, err := bd.mapper.Map(p, buf, fl.dir)

@@ -94,6 +94,9 @@ type SSD struct {
 	// 1/IOPS (or transfer time for big ops), while completion latency is
 	// decoupled (the device is internally parallel).
 	busyTill uint64
+	// staging is the device's data buffer: every read is assembled and
+	// every write fetched through it, one command at a time.
+	staging []byte
 
 	// Stats
 	Reads, Writes          uint64
@@ -197,34 +200,14 @@ func (q *Queue) process(now uint64) {
 		}
 		d.busyTill = start + slot
 
-		// Data movement (functional, through the IOMMU).
-		var status error
 		var lat uint64
 		switch cmd.Op {
 		case OpRead:
 			lat = d.cfg.ReadLatency + xfer
-			data := d.readFlash(cmd.LBA, cmd.Len)
-			res := d.u.DMAWrite(d.cfg.Dev, cmd.Addr, data)
-			if res.Fault != nil {
-				status = res.Fault
-				d.Faults++
-			} else {
-				d.Reads++
-				d.BytesRead += uint64(cmd.Len)
-			}
 		case OpWrite:
 			lat = d.cfg.WriteLatency + xfer
-			data := make([]byte, cmd.Len)
-			res := d.u.DMARead(d.cfg.Dev, cmd.Addr, data)
-			if res.Fault != nil {
-				status = res.Fault
-				d.Faults++
-			} else {
-				d.writeFlash(cmd.LBA, data)
-				d.Writes++
-				d.BytesWriten += uint64(cmd.Len)
-			}
 		}
+		status := d.transfer(cmd)
 		done := start + lat + d.cfg.Costs.IRQLatency
 		c := Completion{Cmd: cmd, Status: status}
 		d.eng.Schedule(done, func(at uint64) {
@@ -235,20 +218,70 @@ func (q *Queue) process(now uint64) {
 	}
 }
 
+// transfer moves one command's data between flash and host memory through
+// the IOMMU (functionally: real bytes), staged in the device's buffer. It
+// returns the command's completion status.
+func (d *SSD) transfer(cmd Command) error {
+	switch cmd.Op {
+	case OpRead:
+		data := d.stage(cmd.Len)
+		d.readFlashInto(data, cmd.LBA)
+		if res := d.u.DMAWrite(d.cfg.Dev, cmd.Addr, data); res.Fault != nil {
+			d.Faults++
+			return res.Fault
+		}
+		d.Reads++
+		d.BytesRead += uint64(cmd.Len)
+	case OpWrite:
+		data := d.stage(cmd.Len)
+		if res := d.u.DMARead(d.cfg.Dev, cmd.Addr, data); res.Fault != nil {
+			d.Faults++
+			return res.Fault
+		}
+		d.writeFlash(cmd.LBA, data)
+		d.Writes++
+		d.BytesWriten += uint64(cmd.Len)
+	}
+	return nil
+}
+
+// stage returns the device's staging buffer sized to n bytes.
+func (d *SSD) stage(n int) []byte {
+	if cap(d.staging) < n {
+		d.staging = make([]byte, n)
+	}
+	return d.staging[:n]
+}
+
+// readFlash returns a fresh copy of n bytes of flash starting at lba.
 func (d *SSD) readFlash(lba uint64, n int) []byte {
 	out := make([]byte, n)
-	for off := 0; off < n; off += BlockSize {
-		if b, ok := d.flash[lba+uint64(off/BlockSize)]; ok {
-			copy(out[off:], b)
-		}
-	}
+	d.readFlashInto(out, lba)
 	return out
 }
 
+// readFlashInto fills dst with flash content starting at lba; blocks
+// never written read as zeros.
+func (d *SSD) readFlashInto(dst []byte, lba uint64) {
+	for off := 0; off < len(dst); off += BlockSize {
+		if b, ok := d.flash[lba+uint64(off/BlockSize)]; ok {
+			copy(dst[off:], b)
+		} else {
+			clear(dst[off:min(off+BlockSize, len(dst))])
+		}
+	}
+}
+
+// writeFlash stores data starting at lba, overwriting existing blocks in
+// place; a short final block is zero-padded.
 func (d *SSD) writeFlash(lba uint64, data []byte) {
 	for off := 0; off < len(data); off += BlockSize {
-		blk := make([]byte, BlockSize)
-		copy(blk, data[off:])
-		d.flash[lba+uint64(off/BlockSize)] = blk
+		key := lba + uint64(off/BlockSize)
+		blk, ok := d.flash[key]
+		if !ok {
+			blk = make([]byte, BlockSize)
+			d.flash[key] = blk
+		}
+		clear(blk[copy(blk, data[off:]):])
 	}
 }

@@ -218,3 +218,41 @@ func TestHugeIOUsesHybridPath(t *testing.T) {
 			ms.BytesCopied, st.Bytes)
 	}
 }
+
+func TestDeviceTransferAllocatesNothing(t *testing.T) {
+	r := newRig(t, "noiommu", 1)
+	r.u.SetPassthrough(7, true)
+	const size = 4 * BlockSize
+	buf, err := r.m.AllocPages(0, size/mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []Op{OpWrite, OpRead} {
+		cmd := Command{Op: op, LBA: 8, Addr: iommu.IOVA(buf), Len: size}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := r.dev.transfer(cmd); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("op %d: device transfer allocates %.1f objects per op, want 0", op, allocs)
+		}
+	}
+}
+
+func TestFlashRewriteAndReadInto(t *testing.T) {
+	d := New(sim.NewEngine(), nil, Config{})
+	d.writeFlash(3, bytes.Repeat([]byte{0xff}, BlockSize))
+	// A short rewrite overwrites the block in place and zeroes its tail.
+	d.writeFlash(3, bytes.Repeat([]byte{0x11}, 100))
+	want := append(bytes.Repeat([]byte{0x11}, 100), make([]byte, BlockSize-100)...)
+	if got := d.BlockAt(3); !bytes.Equal(got, want) {
+		t.Error("short rewrite left stale bytes in the block")
+	}
+	// Reading into a dirty buffer zeroes the blocks never written.
+	dst := bytes.Repeat([]byte{0xee}, 2*BlockSize)
+	d.readFlashInto(dst, 3)
+	if !bytes.Equal(dst[:BlockSize], want) || !bytes.Equal(dst[BlockSize:], make([]byte, BlockSize)) {
+		t.Error("readFlashInto did not return flash content with zeros for unwritten blocks")
+	}
+}
