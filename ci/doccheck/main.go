@@ -1,13 +1,16 @@
 // Command doccheck is the `make doc-check` gate: it keeps the repository's
-// documentation from rotting by verifying three invariants that are cheap
+// documentation from rotting by verifying four invariants that are cheap
 // to break silently —
 //
 //  1. every relative link in the markdown files resolves to a file or
 //     directory that actually exists (anchors after '#' are ignored),
 //  2. every internal/ package carries a package comment in a non-test file,
-//     so `go doc repro/internal/<pkg>` always says something, and
+//     so `go doc repro/internal/<pkg>` always says something,
 //  3. every `go run ./cmd/<name>` in a markdown file names a cmd/
-//     directory that exists, so no documented command outlives its tool.
+//     directory that exists, so no documented command outlives its tool, and
+//  4. every internal/<pkg> named in a document about the current tree
+//     (see currentDocs) is an existing directory, so no deleted package
+//     lives on in the docs.
 //
 // It prints one line per violation and exits 1 if there are any.
 package main
@@ -31,6 +34,18 @@ var mdLink = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)[^)]*\)`)
 // goRunCmd matches a documented tool invocation and captures the tool.
 var goRunCmd = regexp.MustCompile(`go run \./cmd/([A-Za-z0-9_-]+)`)
 
+// pkgRef matches a named internal package ("internal/obs", also inside
+// "repro/internal/obs" or "internal/obs/obs.go") and captures its name.
+var pkgRef = regexp.MustCompile(`internal/([A-Za-z0-9_]+)`)
+
+// currentDocs are the documents that describe the tree as it is. History
+// files such as CHANGES.md and ROADMAP.md are left out: they name
+// deleted packages on purpose.
+var currentDocs = []string{
+	"README.md", "ARCHITECTURE.md", "DESIGN.md", "EXPERIMENTS.md",
+	"doc/*.md", ".claude/skills/*/SKILL.md",
+}
+
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
@@ -40,11 +55,12 @@ func main() {
 	bad += checkLinks(root)
 	bad += checkPackageComments(root)
 	bad += checkCommands(root)
+	bad += checkPackageRefs(root)
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "doc-check: %d problem(s)\n", bad)
 		os.Exit(1)
 	}
-	fmt.Println("doc-check: all markdown links resolve; all internal packages documented; all documented commands exist")
+	fmt.Println("doc-check: all markdown links resolve; all internal packages documented; all documented commands and packages exist")
 }
 
 // walkMarkdown calls fn with the path and contents of every .md file
@@ -116,6 +132,34 @@ func checkCommands(root string) int {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "doc-check: walk: %v\n", err)
 		return bad + 1
+	}
+	return bad
+}
+
+// checkPackageRefs verifies every internal/<pkg> named in currentDocs
+// names a directory under root's internal/.
+func checkPackageRefs(root string) int {
+	bad := 0
+	for _, pat := range currentDocs {
+		paths, err := filepath.Glob(filepath.Join(root, pat))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doc-check: %v\n", err)
+			return bad + 1
+		}
+		for _, path := range paths {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "doc-check: %v\n", err)
+				bad++
+				continue
+			}
+			for _, m := range pkgRef.FindAllStringSubmatch(string(data), -1) {
+				if fi, err := os.Stat(filepath.Join(root, "internal", m[1])); err != nil || !fi.IsDir() {
+					fmt.Fprintf(os.Stderr, "%s: %q names no internal/%s directory\n", path, m[0], m[1])
+					bad++
+				}
+			}
+		}
 	}
 	return bad
 }

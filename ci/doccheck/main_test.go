@@ -74,3 +74,18 @@ func TestRepoIsClean(t *testing.T) {
 		t.Errorf("repo markdown commands: %d name a missing tool", bad)
 	}
 }
+
+func TestCheckPackageRefs(t *testing.T) {
+	root := t.TempDir()
+	write(t, filepath.Join(root, "internal", "obs", "obs.go"), "// Package obs.\npackage obs\n")
+	write(t, filepath.Join(root, "README.md"),
+		"See `repro/internal/obs`, internal/obs/obs.go and any internal/<pkg>.\n")
+	write(t, filepath.Join(root, "CHANGES.md"), "internal/trace was deleted.\n")
+	if bad := checkPackageRefs(root); bad != 0 {
+		t.Fatalf("clean tree: %d violations, want 0", bad)
+	}
+	write(t, filepath.Join(root, "doc", "GUIDE.md"), "Read internal/nosuchpkg first.\n")
+	if bad := checkPackageRefs(root); bad != 1 {
+		t.Fatalf("deleted package: %d violations, want 1", bad)
+	}
+}

@@ -1,13 +1,16 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/iommu"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // profileAt runs one profiled 16-core RX point and returns its profile.
@@ -178,7 +181,83 @@ func TestWriteTraceChromeSchema(t *testing.T) {
 		t.Error("no thread_name metadata (core tracks unnamed)")
 	}
 	if iommuEvents == 0 {
-		t.Error("no IOMMU ring events exported (strict RX must invalidate)")
+		t.Error("no IOMMU events exported (strict RX must invalidate)")
+	}
+}
+
+// TestIOMMUEventsReachChromeTrace drives one map, fault, unmap and
+// invalidation on a machine observed by obs.New(true) and checks that each
+// lands as an instant on the pid-1 "iommu" process of the exported trace,
+// with no wiring beyond Config.Obs.
+func TestIOMMUEventsReachChromeTrace(t *testing.T) {
+	cfg := DefaultConfig(SysLinuxStrict, RX, 1, 1500)
+	cfg.Obs = obs.New(true)
+	mach, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mach.Mem.Release()
+	u, dev := mach.IOMMU, mach.Env.Dev
+	phys, err := mach.Mem.AllocPages(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const iova = iommu.IOVA(0x9000)
+	if err := u.Map(dev, iova, phys, 100, iommu.PermRead); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, f := u.Translate(dev, iova, iommu.PermWrite); f == nil {
+		t.Fatal("write through a read-only mapping did not fault")
+	}
+	if err := u.Unmap(dev, iova, 100); err != nil {
+		t.Fatal(err)
+	}
+	mach.Eng.Spawn("inval", 0, 0, func(p *sim.Proc) {
+		u.Queue.Lock.Lock(p)
+		u.Queue.WaitFor(p, u.Queue.SubmitPages(p, dev, iova.Page(), 1))
+		u.Queue.Lock.Unlock(p)
+	})
+	mach.Eng.Run(1 << 30)
+	mach.Eng.Stop()
+
+	var buf bytes.Buffer
+	if err := cfg.Obs.Rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []struct {
+			Name  string            `json:"name"`
+			Cat   string            `json:"cat"`
+			Phase string            `json:"ph"`
+			PID   int               `json:"pid"`
+			Args  map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &f); err != nil {
+		t.Fatalf("not valid JSON: %v", err)
+	}
+	named := false
+	got := map[string]int{}
+	for _, ev := range f.TraceEvents {
+		if ev.PID != 1 {
+			continue
+		}
+		switch {
+		case ev.Phase == "M" && ev.Name == "process_name":
+			named = ev.Args["name"] == "iommu"
+		case ev.Phase == "i" && ev.Cat == "iommu" && ev.Args["msg"] != "":
+			got[ev.Name]++
+		default:
+			t.Errorf("unexpected pid-1 event %+v", ev)
+		}
+	}
+	if !named {
+		t.Error(`pid 1 is not named "iommu"`)
+	}
+	for _, want := range []string{"map", "unmap", "inval", "fault"} {
+		if got[want] != 1 {
+			t.Errorf("%q instants on the iommu process = %d, want 1 (all: %v)", want, got[want], got)
+		}
 	}
 }
 

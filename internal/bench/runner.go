@@ -18,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // System names, matching the paper's figure legends.
@@ -189,10 +188,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Obs != nil {
 		// Must precede every Spawn: procs copy the span sink at creation.
 		eng.SetObserver(cfg.Obs)
-		if cfg.Obs.Rec != nil {
-			u.Trace = trace.New(1 << 16)
-			cfg.Obs.Ring = u.Trace
-		}
 	}
 	env := &dmaapi.Env{Eng: eng, Mem: m, IOMMU: u, Costs: cfg.Costs, Dev: 1, Cores: cfg.Cores}
 	var mapper dmaapi.Mapper

@@ -17,11 +17,10 @@ func TestFarmTable(t *testing.T) {
 	fs := obs.FarmStats{Workers: 4, Submitted: 30, Executed: 30, Steals: 3,
 		QueueHWM: 12, UtilPct: []float64{100, 80, 60, 40}}
 	tbl := FarmTable(fs)
-	exp := tbl.Experiment()
-	if len(exp.Series) != 1 || len(exp.Series[0].Points) != 1 {
-		t.Fatalf("want 1 series with 1 point, got %+v", exp.Series)
+	if len(tbl.Series) != 1 || len(tbl.Series[0].Points) != 1 {
+		t.Fatalf("want 1 series with 1 point, got %+v", tbl.Series)
 	}
-	m := exp.Series[0].Points[0].Metrics
+	m := tbl.Series[0].Points[0].Metrics
 	for name := range m {
 		if !strings.HasPrefix(name, "farm.") {
 			t.Errorf("metric %q lacks the diff-exempt farm. prefix", name)

@@ -158,7 +158,7 @@ func Artifact(tool string, windowMs float64, costs *cycles.Costs, tables []*Tabl
 	a := report.New(tool, windowMs, costs)
 	for _, t := range tables {
 		if t != nil {
-			a.Add(t.Experiment())
+			a.Add(*t)
 		}
 	}
 	return a

@@ -16,9 +16,9 @@ func TestTablePointAndExperiment(t *testing.T) {
 	tbl.Point("copy", "1KB", map[string]float64{"gbps": 1, "bad": nan()})
 	tbl.Point("copy", "64KB", map[string]float64{"gbps": 2})
 	tbl.Point("strict", "1KB", map[string]float64{"gbps": 0.5})
-	e := tbl.Experiment()
+	e := *tbl
 	if e.Name != "x" || e.Winner == nil || e.Winner.Metric != "gbps" {
-		t.Fatalf("experiment conversion lost fields: %+v", e)
+		t.Fatalf("table lost fields: %+v", e)
 	}
 	if len(e.Series) != 2 || len(e.Series[0].Points) != 2 {
 		t.Fatalf("series shape wrong: %+v", e.Series)

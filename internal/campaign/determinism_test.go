@@ -30,7 +30,7 @@ func campaignArtifact(t *testing.T, parallel int) []byte {
 		t.Fatalf("Matrix(parallel=%d): %v", parallel, err)
 	}
 	art := report.New("attackbench", campaign.CellWindowMs, nil)
-	art.Add(tb.Experiment())
+	art.Add(*tb)
 	var buf bytes.Buffer
 	if err := art.Encode(&buf); err != nil {
 		t.Fatalf("Encode: %v", err)

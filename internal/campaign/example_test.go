@@ -6,22 +6,22 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/campaign"
-	"repro/internal/trace"
+	"repro/internal/obs"
 )
 
 // Example traces the paper's §3 attack against Linux-style deferred
-// protection with the IOMMU event tracer on. The victim maps and unmaps
-// a receive buffer; the unmap defers its IOTLB invalidation, so the
-// device's write replayed to the stale IOVA 2us later lands silently
-// through the cached translation. Once the OS drains the deferred
-// invalidations, the same replay faults.
+// protection with a timeline-recording observer on, which records the
+// IOMMU's events. The victim maps and unmaps a receive buffer; the unmap
+// defers its IOTLB invalidation, so the device's write replayed to the
+// stale IOVA 2us later lands silently through the cached translation.
+// Once the OS drains the deferred invalidations, the same replay faults.
 func Example() {
 	t, err := campaign.NewTarget(bench.SysLinuxDefer, 1)
 	if err != nil {
 		panic(err)
 	}
-	tr := trace.New(64)
-	t.Mach.IOMMU.Trace = tr
+	o := obs.New(true)
+	t.Mach.Eng.SetObserver(o)
 	pl, err := campaign.Find("replay-window")
 	if err != nil {
 		panic(err)
@@ -30,7 +30,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	tr.Dump(os.Stdout)
+	o.Rec.Dump(os.Stdout)
 	fmt.Printf("write landed: %v, closed after flush: %v\n", r.Success, r.Metrics["closed_after_flush"] == 1)
 	// Output:
 	//        0.000us map    dev 1 iova 0x7ffffffff000 -> phys 0x1000 size 4096 perm w

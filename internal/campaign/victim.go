@@ -139,16 +139,12 @@ func (t *Target) RunTraffic(p *sim.Proc, n int) error {
 func (t *Target) CorruptedStale() ([]int, error) {
 	var out []int
 	for _, m := range t.Log.Stale() {
-		snap, err := t.Mach.Mem.Snapshot(m.Buf)
+		bad, err := t.corrupted(m)
 		if err != nil {
 			return nil, err
 		}
-		want := SentinelByte(m.Index)
-		for _, b := range snap {
-			if b != want {
-				out = append(out, m.Index)
-				break
-			}
+		if bad {
+			out = append(out, m.Index)
 		}
 	}
 	return out, nil

@@ -95,7 +95,7 @@ func oneShotChaos(t *testing.T, spec RunSpec) []byte {
 		t.Fatal(err)
 	}
 	art := report.New("chaosbench", spec.WindowMs, cfg.Costs)
-	art.Add(tb.Experiment())
+	art.Add(*tb)
 	var buf bytes.Buffer
 	if err := art.Encode(&buf); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,5 @@
 package iommu
 
-import (
-	"repro/internal/trace"
-)
-
 // Fault recording ring and device quarantine: the recovery-side face of the
 // IOMMU. Real VT-d hardware logs blocked DMAs into a small bank of fault
 // recording registers; when software does not drain them fast enough the
@@ -113,13 +109,13 @@ func (u *IOMMU) Block(dev DeviceID) {
 	}
 	u.blocked[dev] = true
 	u.tlb.InvalidateDevice(dev)
-	u.Trace.Emit(u.eng.Now(), trace.CatFault, "dev %d blocked (quarantine)", dev)
+	u.event(u.eng.Now(), "fault", "dev %d blocked (quarantine)", dev)
 }
 
 // Unblock lifts a device's quarantine (readmission after cool-down).
 func (u *IOMMU) Unblock(dev DeviceID) {
 	delete(u.blocked, dev)
-	u.Trace.Emit(u.eng.Now(), trace.CatFault, "dev %d unblocked (readmitted)", dev)
+	u.event(u.eng.Now(), "fault", "dev %d unblocked (readmitted)", dev)
 }
 
 // Blocked reports whether the device is quarantined.
@@ -135,7 +131,7 @@ func (u *IOMMU) Blocked(dev DeviceID) bool { return u.blocked[dev] }
 func (u *IOMMU) DetachDevice(dev DeviceID) uint64 {
 	delete(u.passthrough, dev)
 	n := u.WipeDomain(dev)
-	u.Trace.Emit(u.eng.Now(), trace.CatUnmap, "dev %d detached (hot-unplug)", dev)
+	u.event(u.eng.Now(), "unmap", "dev %d detached (hot-unplug)", dev)
 	return n
 }
 
@@ -155,6 +151,6 @@ func (u *IOMMU) WipeDomain(dev DeviceID) uint64 {
 	d.mappedPages = 0
 	d.wipeDebt += n
 	u.tlb.InvalidateDevice(dev)
-	u.Trace.Emit(u.eng.Now(), trace.CatUnmap, "dev %d domain wiped (%d pages)", dev, n)
+	u.event(u.eng.Now(), "unmap", "dev %d domain wiped (%d pages)", dev, n)
 	return n
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // DeviceID identifies a DMA-capable device (BDF in real hardware).
@@ -99,10 +98,6 @@ type IOMMU struct {
 	WalkSerialize bool
 	walkFreeAt    uint64
 
-	// Trace, when set, records map/unmap/invalidation/fault events
-	// (tracepoint-style debugging; see internal/trace).
-	Trace *trace.Tracer
-
 	// msiGrants holds the interrupt-remapping table: per device, the
 	// vectors the OS granted it (see msi.go).
 	msiGrants map[DeviceID]map[uint32]bool
@@ -129,6 +124,16 @@ func New(eng *sim.Engine, m *mem.Memory, costs *cycles.Costs) *IOMMU {
 	}
 	u.Queue = newInvQueue(eng, u, costs)
 	return u
+}
+
+// event reports a map/unmap/invalidation/fault event (tracepoint-style
+// debugging) to the engine's sink when it records a timeline. Hot paths
+// test u.eng.Timeline() before calling: the vararg boxing allocates even
+// when nothing is recorded.
+func (u *IOMMU) event(at uint64, cat, format string, args ...interface{}) {
+	if tl := u.eng.Timeline(); tl != nil {
+		tl.Event(cat, fmt.Sprintf(format, args...), at)
+	}
 }
 
 // TLB exposes the IOTLB (for stats and tests).
@@ -181,8 +186,8 @@ func (u *IOMMU) Map(dev DeviceID, iova IOVA, phys mem.Phys, size int, perm Perm)
 		d.set(pg, pte{pfn: pfn + (pg - first), perm: perm, valid: true})
 	}
 	d.mappedPages += last - first + 1
-	if u.Trace.Enabled() { // guard: the vararg boxing allocates even when tracing is off
-		u.Trace.Emit(u.eng.Now(), trace.CatMap, "dev %d iova %#x -> phys %#x size %d perm %s",
+	if u.eng.Timeline() != nil { // guard: the vararg boxing allocates even when tracing is off
+		u.event(u.eng.Now(), "map", "dev %d iova %#x -> phys %#x size %d perm %s",
 			dev, uint64(iova), uint64(phys), size, perm)
 	}
 	return nil
@@ -220,8 +225,8 @@ func (u *IOMMU) Unmap(dev DeviceID, iova IOVA, size int) error {
 		}
 		d.wipeDebt -= missing
 	}
-	if u.Trace.Enabled() {
-		u.Trace.Emit(u.eng.Now(), trace.CatUnmap, "dev %d iova %#x size %d", dev, uint64(iova), size)
+	if u.eng.Timeline() != nil {
+		u.event(u.eng.Now(), "unmap", "dev %d iova %#x size %d", dev, uint64(iova), size)
 	}
 	return nil
 }
@@ -290,8 +295,8 @@ func (u *IOMMU) fault(dev DeviceID, iova IOVA, want Perm, reason string) *Fault 
 	u.FaultCount++
 	f := Fault{Dev: dev, Addr: iova, Want: want, Reason: reason, At: u.eng.Now()}
 	u.ring.Push(f)
-	if u.Trace.Enabled() {
-		u.Trace.Emit(f.At, trace.CatFault, "dev %d iova %#x want %s: %s", dev, uint64(iova), want, reason)
+	if u.eng.Timeline() != nil {
+		u.event(f.At, "fault", "dev %d iova %#x want %s: %s", dev, uint64(iova), want, reason)
 	}
 	if u.FaultHook != nil {
 		u.FaultHook(f)

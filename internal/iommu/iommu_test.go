@@ -9,7 +9,6 @@ import (
 	"repro/internal/cycles"
 	"repro/internal/mem"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func setup() (*sim.Engine, *mem.Memory, *IOMMU) {
@@ -437,9 +436,24 @@ func TestStrictWaitAccountsBusySpin(t *testing.T) {
 	}
 }
 
+// eventSink is a timeline sink that keeps the IOMMU events it is sent.
+type eventSink struct {
+	cats map[string]int
+	msgs []string
+}
+
+func (s *eventSink) SpanEnd(*sim.Proc, string, uint64, uint64, uint64, uint64) {}
+func (s *eventSink) SpanInstant(*sim.Proc, string, uint64)                     {}
+func (s *eventSink) Timeline() bool                                            { return true }
+func (s *eventSink) Event(cat, msg string, at uint64) {
+	s.cats[cat]++
+	s.msgs = append(s.msgs, msg)
+}
+
 func TestTraceRecordsIOMMUEvents(t *testing.T) {
 	eng, m, u := setup()
-	u.Trace = trace.New(64)
+	sink := &eventSink{cats: map[string]int{}}
+	eng.SetObserver(sink)
 	phys, _ := m.AllocPages(0, 1)
 	if err := u.Map(1, 0x9000, phys, 100, PermRead); err != nil {
 		t.Fatal(err)
@@ -455,18 +469,12 @@ func TestTraceRecordsIOMMUEvents(t *testing.T) {
 	})
 	eng.Run(1 << 30)
 	eng.Stop()
-	cats := map[string]int{}
-	for _, e := range u.Trace.Events() {
-		cats[e.Cat]++
-	}
-	for _, want := range []string{trace.CatMap, trace.CatUnmap, trace.CatFault, trace.CatInval} {
-		if cats[want] == 0 {
-			t.Errorf("no %q events recorded (got %v)", want, cats)
+	for _, want := range []string{"map", "unmap", "fault", "inval"} {
+		if sink.cats[want] == 0 {
+			t.Errorf("no %q events recorded (got %v)", want, sink.cats)
 		}
 	}
-	var b strings.Builder
-	u.Trace.Dump(&b)
-	if !strings.Contains(b.String(), "iova 0x9000") {
-		t.Error("dump missing event detail")
+	if !strings.Contains(strings.Join(sink.msgs, "\n"), "iova 0x9000") {
+		t.Error("events missing detail")
 	}
 }

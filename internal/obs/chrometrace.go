@@ -2,23 +2,26 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"sort"
 
 	"repro/internal/cycles"
-	"repro/internal/trace"
 )
 
 // Recorder captures the simulated timeline for Chrome trace-event export:
 // every completed span becomes a complete ("X") slice on its core's track,
-// every instant a point ("i") event. Capacity-bounded so a long run cannot
-// exhaust host memory; overflow is counted, not fatal.
+// every instant a point ("i") event, every IOMMU event a point event on
+// the iommu track. Capacity-bounded so a long run cannot exhaust host
+// memory: each kind keeps its first max entries; overflow is counted, not
+// fatal.
 type Recorder struct {
 	slices   []traceSlice
 	instants []traceInstant
+	events   []traceEvent
 	max      int
-	// Dropped counts events discarded after the capacity was reached.
+	// Dropped counts entries discarded after the capacity was reached.
 	Dropped uint64
 }
 
@@ -34,11 +37,17 @@ type traceInstant struct {
 	at   uint64
 }
 
+// traceEvent is one event no proc owns, in emission order.
+type traceEvent struct {
+	cat, msg string
+	at       uint64
+}
+
 // DefaultRecorderCap bounds the recorded slice count (~64 B per slice).
 const DefaultRecorderCap = 1 << 20
 
 // NewRecorder returns a recorder holding up to max slices (and as many
-// instants); max <= 0 selects DefaultRecorderCap.
+// instants and as many events); max <= 0 selects DefaultRecorderCap.
 func NewRecorder(max int) *Recorder {
 	if max <= 0 {
 		max = DefaultRecorderCap
@@ -60,6 +69,23 @@ func (r *Recorder) instant(name string, core int, at uint64) {
 		return
 	}
 	r.instants = append(r.instants, traceInstant{name: name, core: core, at: at})
+}
+
+func (r *Recorder) event(cat, msg string, at uint64) {
+	if len(r.events) >= r.max {
+		r.Dropped++
+		return
+	}
+	r.events = append(r.events, traceEvent{cat: cat, msg: msg, at: at})
+}
+
+// Dump writes the recorded IOMMU events as text, one per line:
+// timestamp in microseconds of the simulation clock (cycles.Hz),
+// category, message.
+func (r *Recorder) Dump(w io.Writer) {
+	for _, e := range r.events {
+		fmt.Fprintf(w, "%12.3fus %-6s %s\n", cyclesToUs(e.at), e.cat, e.msg)
+	}
 }
 
 // chromeEvent is one entry of the Chrome trace-event format
@@ -84,7 +110,7 @@ type chromeFile struct {
 }
 
 // Process IDs in the exported trace: CPU cores are threads of pid 0, the
-// IOMMU trace ring's events land on pid 1.
+// IOMMU's events land on pid 1.
 const (
 	chromePIDCores = 0
 	chromePIDIOMMU = 1
@@ -92,10 +118,10 @@ const (
 
 func cyclesToUs(c uint64) float64 { return float64(c) / (cycles.Hz / 1e6) }
 
-// WriteChromeTrace renders the recorded timeline — plus, optionally, the
-// IOMMU's trace-ring events as instants on a separate "iommu" process —
-// as Chrome trace-event JSON.
-func (r *Recorder) WriteChromeTrace(w io.Writer, ring *trace.Tracer) error {
+// WriteChromeTrace renders the recorded timeline — with the IOMMU's
+// events, if any, as instants on a separate "iommu" process — as Chrome
+// trace-event JSON.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	f := chromeFile{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 
 	cores := map[int]bool{}
@@ -138,17 +164,17 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, ring *trace.Tracer) error {
 		})
 	}
 
-	if ring.Enabled() {
+	if len(r.events) > 0 {
 		f.TraceEvents = append(f.TraceEvents, chromeEvent{
 			Name: "process_name", Phase: "M", PID: chromePIDIOMMU,
 			Args: map[string]interface{}{"name": "iommu"},
 		})
-		for _, e := range ring.Events() {
+		for _, e := range r.events {
 			f.TraceEvents = append(f.TraceEvents, chromeEvent{
-				Name: e.Cat, Cat: "iommu", Phase: "i",
-				TS: cyclesToUs(e.At), PID: chromePIDIOMMU, TID: 0,
+				Name: e.cat, Cat: "iommu", Phase: "i",
+				TS: cyclesToUs(e.at), PID: chromePIDIOMMU, TID: 0,
 				Scope: "p",
-				Args:  map[string]interface{}{"msg": e.Msg},
+				Args:  map[string]interface{}{"msg": e.msg},
 			})
 		}
 	}
@@ -158,12 +184,12 @@ func (r *Recorder) WriteChromeTrace(w io.Writer, ring *trace.Tracer) error {
 }
 
 // WriteChromeTraceFile is WriteChromeTrace to a new file at path.
-func (r *Recorder) WriteChromeTraceFile(path string, ring *trace.Tracer) error {
+func (r *Recorder) WriteChromeTraceFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := r.WriteChromeTrace(f, ring); err != nil {
+	if err := r.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return err
 	}

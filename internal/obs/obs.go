@@ -17,10 +17,12 @@
 //     scattered through iommu, shadow, iova, nic and the engine under
 //     dotted "subsystem.metric" names (see publish.go).
 //
-//   - Recorder — captures the same spans as timeline slices and writes
-//     Chrome trace-event JSON (chrometrace.go) loadable in Perfetto or
-//     chrome://tracing: per-core tracks, spans as slices, faults and
-//     invalidations from the internal/trace ring as instants.
+//   - Recorder — captures the same spans as timeline slices, plus the
+//     events no proc owns (the IOMMU's maps, unmaps, invalidations and
+//     faults, reported through sim.SpanSink.Event), and writes Chrome
+//     trace-event JSON (chrometrace.go) loadable in Perfetto or
+//     chrome://tracing: per-core tracks, spans as slices, IOMMU events as
+//     instants on their own track. Dump prints the IOMMU events as text.
 //
 // Everything is opt-in per engine: sim procs carry span hooks that are a
 // single nil check when no Observer is installed, spans never charge
@@ -33,7 +35,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Observer bundles the pieces and implements sim.SpanSink, fanning each
@@ -45,9 +46,6 @@ type Observer struct {
 	Prof *Profiler
 	Rec  *Recorder // nil unless a timeline trace was requested
 	Reg  *Registry
-	// Ring, when the harness sets it, is the IOMMU's event ring; its
-	// faults/invalidations are exported alongside the span timeline.
-	Ring *trace.Tracer
 }
 
 // New returns an Observer with a profiler and registry; pass trace=true to
@@ -76,11 +74,22 @@ func (o *Observer) SpanInstant(p *sim.Proc, name string, at uint64) {
 	}
 }
 
-// WriteTraceFile writes the recorded timeline (and the IOMMU ring, if Ring
-// is set) as Chrome trace-event JSON at path.
+// Event implements sim.SpanSink.
+func (o *Observer) Event(cat, msg string, at uint64) {
+	if o.Rec != nil {
+		o.Rec.event(cat, msg, at)
+	}
+}
+
+// Timeline reports whether o records a timeline. The engine asks once, at
+// SetObserver, and hands event sources the sink only when it does.
+func (o *Observer) Timeline() bool { return o.Rec != nil }
+
+// WriteTraceFile writes the recorded timeline as Chrome trace-event JSON
+// at path.
 func (o *Observer) WriteTraceFile(path string) error {
 	if o.Rec == nil {
 		return fmt.Errorf("obs: no timeline recorded (construct the Observer with New(true))")
 	}
-	return o.Rec.WriteChromeTraceFile(path, o.Ring)
+	return o.Rec.WriteChromeTraceFile(path)
 }

@@ -3,10 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // TestSpanAttribution checks the core invariant: exclusive (self) cycles
@@ -155,8 +155,7 @@ func TestChromeTraceSchema(t *testing.T) {
 	eng := sim.NewEngine()
 	o := New(true)
 	eng.SetObserver(o)
-	ring := trace.New(16)
-	ring.Emit(5, trace.CatFault, "dev %d", 3)
+	eng.Timeline().Event("fault", "dev 3", 5)
 	eng.Spawn("w", 2, 0, func(p *sim.Proc) {
 		p.SpanEnter("rx")
 		p.Charge("other", 240)
@@ -166,7 +165,7 @@ func TestChromeTraceSchema(t *testing.T) {
 	eng.Run(1 << 40)
 
 	var buf bytes.Buffer
-	if err := o.Rec.WriteChromeTrace(&buf, ring); err != nil {
+	if err := o.Rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var f struct {
@@ -208,7 +207,7 @@ func TestChromeTraceSchema(t *testing.T) {
 			if ev["name"] == "drop" {
 				sawInstant = true
 			}
-			if cat, _ := ev["cat"].(string); cat == "iommu" {
+			if cat, _ := ev["cat"].(string); cat == "iommu" && ev["pid"].(float64) == 1 {
 				sawIOMMU = true
 			}
 		case "M":
@@ -259,7 +258,31 @@ func TestRecorderCap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.slice("s", 0, uint64(i), uint64(i+1))
 	}
-	if len(r.slices) != 2 || r.Dropped != 3 {
-		t.Errorf("slices=%d dropped=%d", len(r.slices), r.Dropped)
+	for i := 0; i < 3; i++ {
+		r.event("map", "m", uint64(i))
+	}
+	if len(r.slices) != 2 || len(r.events) != 2 || r.Dropped != 4 {
+		t.Errorf("slices=%d events=%d dropped=%d", len(r.slices), len(r.events), r.Dropped)
+	}
+}
+
+func TestDumpFormat(t *testing.T) {
+	o := New(true)
+	o.Event("fault", "dev 1 iova 0x5000", 2400)
+	var b strings.Builder
+	o.Rec.Dump(&b)
+	if want := "       1.000us fault  dev 1 iova 0x5000\n"; b.String() != want {
+		t.Errorf("dump = %q, want %q", b.String(), want)
+	}
+}
+
+func TestDumpFrequency(t *testing.T) {
+	r := NewRecorder(4)
+	r.event("map", "m", 4800)
+	var b strings.Builder
+	r.Dump(&b)
+	// 4800 cycles at the simulation's 2.4 GHz clock is 2 us.
+	if !strings.Contains(b.String(), "2.000us") {
+		t.Errorf("default-frequency dump: %q", b.String())
 	}
 }

@@ -110,6 +110,37 @@ func (e Experiment) String() string {
 	return b.String()
 }
 
+// AddRow appends a row of cells.
+func (e *Experiment) AddRow(cells ...string) {
+	e.Rows = append(e.Rows, cells)
+}
+
+// SetWinner declares the experiment's claim-deciding metric.
+func (e *Experiment) SetWinner(metric string, lowerIsBetter bool) {
+	e.Winner = &Winner{Metric: metric, LowerIsBetter: lowerIsBetter}
+}
+
+// Point records one structured data point for a system. Non-finite metric
+// values are dropped (they would poison the JSON artifact).
+func (e *Experiment) Point(system, label string, metrics map[string]float64) {
+	clean := make(map[string]float64, len(metrics))
+	for k, v := range metrics {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			clean[k] = v
+		}
+	}
+	for i := range e.Series {
+		if e.Series[i].System == system {
+			e.Series[i].Points = append(e.Series[i].Points, Point{Label: label, Metrics: clean})
+			return
+		}
+	}
+	e.Series = append(e.Series, Series{
+		System: system,
+		Points: []Point{{Label: label, Metrics: clean}},
+	})
+}
+
 // Winner declares the claim-deciding metric of an experiment.
 type Winner struct {
 	Metric string `json:"metric"`

@@ -319,3 +319,28 @@ func TestDiffAbsFloor(t *testing.T) {
 		t.Fatal("without floor the change must be flagged")
 	}
 }
+
+// TestExperimentBuilders: Point groups points by system in insertion
+// order and drops non-finite metrics; AddRow and SetWinner fill the
+// human rendering and the claim metric.
+func TestExperimentBuilders(t *testing.T) {
+	e := &Experiment{Name: "x", Title: "X", Columns: []string{"system", "gbps"}}
+	e.SetWinner("lat_us", true)
+	e.Point("copy", "1KB", map[string]float64{"gbps": 1, "nan": math.NaN(), "inf": math.Inf(1)})
+	e.Point("strict", "1KB", map[string]float64{"gbps": 0.5})
+	e.Point("copy", "64KB", map[string]float64{"gbps": 2})
+	e.AddRow("copy", "1.0")
+	if e.Winner == nil || e.Winner.Metric != "lat_us" || !e.Winner.LowerIsBetter {
+		t.Errorf("winner = %+v", e.Winner)
+	}
+	if len(e.Series) != 2 || e.Series[0].System != "copy" || len(e.Series[0].Points) != 2 ||
+		e.Series[0].Points[1].Label != "64KB" {
+		t.Fatalf("series = %+v", e.Series)
+	}
+	if m := e.Series[0].Points[0].Metrics; len(m) != 1 || m["gbps"] != 1 {
+		t.Errorf("non-finite metrics kept: %v", m)
+	}
+	if !strings.Contains(e.String(), "copy    1.0") {
+		t.Errorf("row not rendered:\n%s", e.String())
+	}
+}

@@ -44,8 +44,10 @@ type Engine struct {
 	noFastYield bool
 
 	// obs, when set via SetObserver before Spawn, is handed to every
-	// spawned proc as its span sink (see obs.go).
-	obs SpanSink
+	// spawned proc as its span sink (see obs.go); timeline records
+	// whether that sink keeps a timeline of events.
+	obs      SpanSink
+	timeline bool
 
 	// Scheduler statistics (informational; virtual-time results never
 	// depend on them).

@@ -22,6 +22,10 @@ type SpanSink interface {
 	// SpanInstant reports a point event (a fault, a drop) at virtual
 	// time at.
 	SpanInstant(p *Proc, name string, at uint64)
+	// Event reports an event no proc owns (an IOMMU map, invalidation or
+	// fault) in category cat at virtual time at. Callers reach it through
+	// Engine.Timeline, so it is only called when a timeline is recorded.
+	Event(cat, msg string, at uint64)
 }
 
 // spanFrame is one open span on a proc's stack.
@@ -35,7 +39,22 @@ type spanFrame struct {
 // SetObserver installs a span sink on the engine. It must be called before
 // Spawn: procs capture the sink at spawn time. A nil sink disables
 // observation for subsequently spawned procs.
-func (e *Engine) SetObserver(s SpanSink) { e.obs = s }
+func (e *Engine) SetObserver(s SpanSink) {
+	e.obs = s
+	t, ok := s.(interface{ Timeline() bool })
+	e.timeline = ok && t.Timeline()
+}
+
+// Timeline returns the engine's sink if it records a timeline (its
+// Timeline method, checked at SetObserver, says so), and nil otherwise.
+// Event sources test it before formatting a message, so a profiler-only
+// sink costs them nothing.
+func (e *Engine) Timeline() SpanSink {
+	if !e.timeline {
+		return nil
+	}
+	return e.obs
+}
 
 // Observed reports whether a span sink is attached to this proc. Hot paths
 // use it to skip span-name construction when observability is off.

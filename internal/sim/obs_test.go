@@ -2,10 +2,12 @@ package sim
 
 import "testing"
 
-// recSink records every span and instant it receives.
+// recSink records every span and instant it receives; with timeline set
+// it also reports that it records a timeline.
 type recSink struct {
-	spans []recSpan
-	insts []recInstant
+	spans    []recSpan
+	insts    []recInstant
+	timeline bool
 }
 
 type recSpan struct {
@@ -24,6 +26,8 @@ func (s *recSink) SpanEnd(p *Proc, path string, self, total, start, end uint64) 
 func (s *recSink) SpanInstant(p *Proc, name string, at uint64) {
 	s.insts = append(s.insts, recInstant{name, at})
 }
+func (s *recSink) Event(cat, msg string, at uint64) {}
+func (s *recSink) Timeline() bool                   { return s.timeline }
 
 func (s *recSink) find(t *testing.T, path string) recSpan {
 	t.Helper()
@@ -146,5 +150,27 @@ func TestSpinlockEmitsSpinSpan(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no spin:invq span with nonzero self cycles; spans: %v", sink.spans)
+	}
+}
+
+// TestTimelineFollowsSink: Engine.Timeline hands out the sink only when
+// one is installed and says it records a timeline.
+func TestTimelineFollowsSink(t *testing.T) {
+	e := NewEngine()
+	if e.Timeline() != nil {
+		t.Error("Timeline() != nil with no sink")
+	}
+	e.SetObserver(&recSink{})
+	if e.Timeline() != nil {
+		t.Error("Timeline() != nil for a profiler-only sink")
+	}
+	sink := &recSink{timeline: true}
+	e.SetObserver(sink)
+	if e.Timeline() != sink {
+		t.Error("Timeline() did not return the timeline sink")
+	}
+	e.SetObserver(nil)
+	if e.Timeline() != nil {
+		t.Error("Timeline() != nil after the sink was removed")
 	}
 }

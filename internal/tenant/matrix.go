@@ -224,7 +224,7 @@ func Bench(cfg BenchConfig) (*report.Artifact, error) {
 		return nil, err
 	}
 	art := report.New("tenantbench", SweepWindowMs, nil)
-	art.Add(mt.Experiment())
-	art.Add(st.Experiment())
+	art.Add(*mt)
+	art.Add(*st)
 	return art, nil
 }
